@@ -1,5 +1,6 @@
 #include "core/castpp.hpp"
 
+#include <array>
 #include <cmath>
 #include <memory>
 
@@ -149,10 +150,31 @@ TieringPlan greedy_projected_plan(const PlanEvaluator& evaluator, const GreedyOp
 // Workflow evaluation.
 // ---------------------------------------------------------------------------
 
+WorkflowTopology::WorkflowTopology(const workload::Workflow& workflow)
+    : predecessors(workflow.size()),
+      is_root(workflow.size(), 1),
+      is_terminal(workflow.size(), 1),
+      topological_order(workflow.topological_order()),
+      dfs_order(workflow.dfs_order()) {
+    edges.reserve(workflow.edges().size());
+    for (const auto& e : workflow.edges()) {
+        const std::size_t u = workflow.index_of(e.from_job);
+        const std::size_t v = workflow.index_of(e.to_job);
+        edges.emplace_back(u, v);
+        predecessors[v].push_back(u);
+        is_root[v] = 0;
+        is_terminal[u] = 0;
+    }
+    for (const auto& job : workflow.jobs()) {
+        any_pinned = any_pinned || job.pinned_tier.has_value();
+    }
+}
+
 WorkflowEvaluator::WorkflowEvaluator(const model::PerfModelSet& models,
                                      workload::Workflow workflow, EvalOptions options)
     : models_(&models), workflow_(std::move(workflow)), options_(options) {
     workflow_.validate();
+    topology_ = WorkflowTopology(workflow_);
 }
 
 GigaBytes WorkflowEvaluator::job_requirement(const WorkflowPlan& plan,
@@ -162,7 +184,7 @@ GigaBytes WorkflowEvaluator::job_requirement(const WorkflowPlan& plan,
     // output feeds it lives on the same tier.
     const auto& job = workflow_.jobs()[job_idx];
     const StorageTier tier = plan.decisions[job_idx].tier;
-    const auto preds = workflow_.predecessors(job_idx);
+    const auto& preds = topology_.predecessors[job_idx];
     bool input_resident = !preds.empty();
     for (std::size_t p : preds) {
         if (plan.decisions[p].tier != tier) input_resident = false;
@@ -172,25 +194,34 @@ GigaBytes WorkflowEvaluator::job_requirement(const WorkflowPlan& plan,
     return req;
 }
 
+namespace {
+
+/// Time to move `volume` at the slower of the two sides' cluster rates.
+Seconds cross_tier_seconds(GigaBytes volume, double read_mbps, double write_mbps) {
+    const double cluster_mbps = std::min(read_mbps, write_mbps);
+    CAST_ENSURES(cluster_mbps > 0.0);
+    return Seconds{volume.megabytes() / cluster_mbps};
+}
+
+}  // namespace
+
+double WorkflowEvaluator::side_bandwidth(StorageTier t, GigaBytes per_vm, bool reading) const {
+    const auto& svc = models_->catalog().service(t);
+    const int nvm = models_->cluster().worker_count;
+    if (t == StorageTier::kObjectStore) {
+        return reading ? svc.cluster_read_bw(per_vm, nvm).value()
+                       : svc.cluster_write_bw(per_vm, nvm).value();
+    }
+    const auto perf = svc.performance(svc.provision(per_vm));
+    return (reading ? perf.read_bw.value() : perf.write_bw.value()) * nvm;
+}
+
 Seconds WorkflowEvaluator::transfer_time(GigaBytes volume, StorageTier from,
                                          GigaBytes from_per_vm, StorageTier to,
                                          GigaBytes to_per_vm) const {
     if (volume.value() <= 0.0 || from == to) return Seconds{0.0};
-    const auto& catalog = models_->catalog();
-    const int nvm = models_->cluster().worker_count;
-    auto side_bw = [&](StorageTier t, GigaBytes per_vm, bool reading) {
-        const auto& svc = catalog.service(t);
-        if (t == StorageTier::kObjectStore) {
-            return reading ? svc.cluster_read_bw(per_vm, nvm).value()
-                           : svc.cluster_write_bw(per_vm, nvm).value();
-        }
-        const auto perf = svc.performance(svc.provision(per_vm));
-        return (reading ? perf.read_bw.value() : perf.write_bw.value()) * nvm;
-    };
-    const double cluster_mbps =
-        std::min(side_bw(from, from_per_vm, true), side_bw(to, to_per_vm, false));
-    CAST_ENSURES(cluster_mbps > 0.0);
-    return Seconds{volume.megabytes() / cluster_mbps};
+    return cross_tier_seconds(volume, side_bandwidth(from, from_per_vm, true),
+                              side_bandwidth(to, to_per_vm, false));
 }
 
 WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
@@ -200,7 +231,7 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
     for (const auto& d : plan.decisions) d.validate();
 
     WorkflowEvaluation eval;
-    {
+    if (topology_.any_pinned) {
         // Operator pins via the shared lint check (same rule the deployer
         // and CLI enforce).
         std::vector<lint::Finding> violations;
@@ -222,7 +253,7 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
         eval.capacities.aggregate[tier_index(d.tier)] += ci;
         if (d.tier == StorageTier::kEphemeralSsd) {
             GigaBytes backing = job.output();
-            if (workflow_.predecessors(i).empty()) backing += job.input;
+            if (topology_.is_root[i] != 0) backing += job.input;
             eval.capacities.aggregate[tier_index(StorageTier::kObjectStore)] += backing;
         }
         if (d.tier == StorageTier::kObjectStore) {
@@ -261,14 +292,14 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
     // job estimates via REG plus staging/transfer legs.
     Seconds total{0.0};
     eval.job_runtimes.assign(workflow_.size(), Seconds{0.0});
-    for (std::size_t i : workflow_.topological_order()) {
+    for (std::size_t i : topology_.topological_order) {
         const auto& d = plan.decisions[i];
         model::StagingLegs legs{false, false};
         if (d.tier == StorageTier::kEphemeralSsd) {
             // Roots must pull their input down from the object store;
             // terminal outputs must be persisted back.
-            legs.download_input = workflow_.predecessors(i).empty();
-            legs.upload_output = workflow_.successors(i).empty();
+            legs.download_input = topology_.is_root[i] != 0;
+            legs.upload_output = topology_.is_terminal[i] != 0;
         }
         const GigaBytes per_vm = eval.capacities.per_vm[tier_index(d.tier)];
         const Seconds t =
@@ -280,17 +311,24 @@ WorkflowEvaluation WorkflowEvaluator::evaluate(const WorkflowPlan& plan,
     }
     // Cross-tier transfers on edges (the pipelining of §3.1.3: "the output
     // of one job is pipelined to another storage service where it acts as
-    // an input for the subsequent job").
-    eval.transfer_times.reserve(workflow_.edges().size());
-    for (const auto& edge : workflow_.edges()) {
-        const std::size_t u = workflow_.index_of(edge.from_job);
-        const std::size_t v = workflow_.index_of(edge.to_job);
+    // an input for the subsequent job"). A tier's read/write bandwidth
+    // depends only on its per-VM capacity, which is fixed for this plan, so
+    // each is derived once, on first use (0 = not yet derived).
+    std::array<double, cloud::kTierCount> read_bw{};
+    std::array<double, cloud::kTierCount> write_bw{};
+    eval.transfer_times.reserve(topology_.edges.size());
+    for (const auto& [u, v] : topology_.edges) {
         const StorageTier su = plan.decisions[u].tier;
         const StorageTier sv = plan.decisions[v].tier;
-        const Seconds t =
-            transfer_time(workflow_.jobs()[u].output(), su,
-                          eval.capacities.per_vm[tier_index(su)], sv,
-                          eval.capacities.per_vm[tier_index(sv)]);
+        const GigaBytes volume = workflow_.jobs()[u].output();
+        Seconds t{0.0};
+        if (volume.value() > 0.0 && su != sv) {
+            double& r = read_bw[tier_index(su)];
+            if (r == 0.0) r = side_bandwidth(su, eval.capacities.per_vm[tier_index(su)], true);
+            double& w = write_bw[tier_index(sv)];
+            if (w == 0.0) w = side_bandwidth(sv, eval.capacities.per_vm[tier_index(sv)], false);
+            t = cross_tier_seconds(volume, r, w);
+        }
         eval.transfer_times.push_back(t);
         total += t;
     }
@@ -470,8 +508,7 @@ void WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int 
 
 WorkflowSolveResult WorkflowSolver::run_chain(std::uint64_t seed, EvalCache* cache,
                                               const SolveDeadline& deadline) const {
-    const auto& wf = evaluator_->workflow();
-    const std::vector<std::size_t> dfs = wf.dfs_order();
+    const std::vector<std::size_t>& dfs = evaluator_->topology().dfs_order;
     CAST_EXPECTS(!dfs.empty());
     Rng rng(seed);
 
@@ -575,8 +612,7 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
 
 WorkflowSolveResult WorkflowSolver::solve_tempering(ThreadPool* pool, EvalCache* cache,
                                                     const SolveDeadline& deadline) const {
-    const auto& wf = evaluator_->workflow();
-    const std::vector<std::size_t> dfs = wf.dfs_order();
+    const std::vector<std::size_t>& dfs = evaluator_->topology().dfs_order;
     CAST_EXPECTS(!dfs.empty());
 
     // The uniform sweep is both the guaranteed result floor and the source

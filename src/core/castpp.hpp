@@ -12,7 +12,9 @@
 // (Fig. 3): utility of re-running a job n times over a reuse lifetime.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/annealing.hpp"
@@ -123,12 +125,38 @@ struct WorkflowEvaluation {
     [[nodiscard]] Dollars total_cost() const { return vm_cost + storage_cost; }
 };
 
+/// A workflow DAG compiled to index form, once. WorkflowEvaluator builds it
+/// in its constructor; evaluation, the solver's traversal, deployment and
+/// reports read it instead of re-scanning the edge list, so the DAG is
+/// derived in exactly one place.
+struct WorkflowTopology {
+    WorkflowTopology() = default;
+    explicit WorkflowTopology(const workload::Workflow& workflow);
+
+    /// Direct producers of each job, as job indices in edge order.
+    std::vector<std::vector<std::size_t>> predecessors;
+    /// 1 for jobs without producers (their input comes from objStore).
+    std::vector<std::uint8_t> is_root;
+    /// 1 for jobs without consumers (their output is persisted).
+    std::vector<std::uint8_t> is_terminal;
+    /// Workflow::topological_order(): Eq. 9's serial execution order.
+    std::vector<std::size_t> topological_order;
+    /// Workflow::dfs_order(): the solver's neighbor traversal (§4.3).
+    std::vector<std::size_t> dfs_order;
+    /// (producer, consumer) job indices, parallel to Workflow::edges().
+    std::vector<std::pair<std::size_t, std::size_t>> edges;
+    /// True when any job carries a tier pin; otherwise no plan can violate
+    /// one and evaluation skips the pin check.
+    bool any_pinned = false;
+};
+
 class WorkflowEvaluator {
 public:
     WorkflowEvaluator(const model::PerfModelSet& models, workload::Workflow workflow,
                       EvalOptions options = {});
 
     [[nodiscard]] const workload::Workflow& workflow() const { return workflow_; }
+    [[nodiscard]] const WorkflowTopology& topology() const { return topology_; }
     [[nodiscard]] const model::PerfModelSet& models() const { return *models_; }
 
     /// Eq. 8-10 evaluation of a workflow plan: serial execution in
@@ -151,9 +179,15 @@ public:
                                         GigaBytes to_per_vm) const;
 
 private:
+    /// Cluster-wide MB/s for reading from (or writing to) tier `t` at
+    /// per-VM capacity `per_vm` — one side of a cross-tier transfer.
+    [[nodiscard]] double side_bandwidth(cloud::StorageTier t, GigaBytes per_vm,
+                                        bool reading) const;
+
     const model::PerfModelSet* models_;
     workload::Workflow workflow_;
     EvalOptions options_;
+    WorkflowTopology topology_;
 };
 
 struct WorkflowSolveResult {

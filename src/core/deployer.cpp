@@ -219,6 +219,7 @@ WorkflowDeployment Deployer::deploy_workflow(const WorkflowEvaluator& evaluator,
     const lint::Report checked = lint_workflow_plan_for_deploy(evaluator, plan);
     lint::enforce(checked);
     const auto& wf = evaluator.workflow();
+    const WorkflowTopology& topo = evaluator.topology();
 
     // Capacity breakdown comes from the workflow evaluator (Eq. 10 +
     // conventions); reuse its provisioning by evaluating once.
@@ -236,15 +237,15 @@ WorkflowDeployment Deployer::deploy_workflow(const WorkflowEvaluator& evaluator,
 
     Seconds total{0.0};
     dep.job_results.resize(wf.size());
-    for (std::size_t i : wf.topological_order()) {
+    for (std::size_t i : topo.topological_order) {
         const StorageTier tier = plan.decisions[i].tier;
         sim::JobPlacement p = sim::JobPlacement::on_tier(wf.jobs()[i], tier);
         if (tier == StorageTier::kEphemeralSsd) {
             // Mid-workflow inputs arrive via cross-tier transfers below,
             // not via objStore staging; mid-workflow outputs are consumed
             // downstream, not archived.
-            p.stage_in = wf.predecessors(i).empty();
-            p.stage_out = wf.successors(i).empty();
+            p.stage_in = topo.is_root[i] != 0;
+            p.stage_out = topo.is_terminal[i] != 0;
         }
         JobRun run = run_with_policy(evaluator.models(), dep.capacities, simulator, p, i,
                                      &dep.retry_count, &dep.fault_log);
@@ -256,10 +257,8 @@ WorkflowDeployment Deployer::deploy_workflow(const WorkflowEvaluator& evaluator,
         total += run.result.makespan + run.backoff;
         dep.job_results[i] = std::move(run.result);
     }
-    dep.transfer_times.reserve(wf.edges().size());
-    for (const auto& edge : wf.edges()) {
-        const std::size_t u = wf.index_of(edge.from_job);
-        const std::size_t v = wf.index_of(edge.to_job);
+    dep.transfer_times.reserve(topo.edges.size());
+    for (const auto& [u, v] : topo.edges) {
         // A degraded producer's output now lives on the backing store, so
         // the consumer fetches from there instead of the planned tier.
         auto degraded = [&](std::size_t idx) {

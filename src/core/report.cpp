@@ -130,7 +130,8 @@ void write_workflow_report(const WorkflowEvaluator& evaluator, const WorkflowPla
        << fmt(measured.total_runtime.minutes(), 1) << " min, $"
        << fmt(measured.total_cost().value(), 2) << "\n\n";
     TextTable jobs({"job", "tier", "k", "measured (min)"});
-    for (std::size_t i : wf.topological_order()) {
+    const WorkflowTopology& topo = evaluator.topology();
+    for (std::size_t i : topo.topological_order) {
         jobs.add_row({wf.jobs()[i].name,
                       std::string(cloud::tier_name(plan.decisions[i].tier)),
                       fmt(plan.decisions[i].overprovision, 2),
@@ -142,12 +143,11 @@ void write_workflow_report(const WorkflowEvaluator& evaluator, const WorkflowPla
     if (any_transfer) {
         os << "\ncross-tier transfers:\n";
         TextTable edges({"edge", "volume (GB)", "time (s)"});
-        for (std::size_t k = 0; k < wf.edges().size(); ++k) {
+        for (std::size_t k = 0; k < topo.edges.size(); ++k) {
             if (measured.transfer_times[k].value() <= 0.0) continue;
-            const auto& e = wf.edges()[k];
-            edges.add_row({wf.jobs()[wf.index_of(e.from_job)].name + " -> " +
-                               wf.jobs()[wf.index_of(e.to_job)].name,
-                           fmt(wf.jobs()[wf.index_of(e.from_job)].output().value(), 1),
+            const auto [u, v] = topo.edges[k];
+            edges.add_row({wf.jobs()[u].name + " -> " + wf.jobs()[v].name,
+                           fmt(wf.jobs()[u].output().value(), 1),
                            fmt(measured.transfer_times[k].value(), 0)});
         }
         edges.print(os);

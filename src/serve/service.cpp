@@ -825,8 +825,8 @@ PlanResponse PlannerService::solve_direct(const Snapshot& snapshot, const PlanRe
     resp.degradation_level = level;
     core::CastOptions opts = request_options(options, request, cancel);
     options.governor.apply(level, opts);  // kFull/kGreedy: no-op
-    core::EvalCache& cache = snapshot.cache();
     if (request.kind == RequestKind::kBatch) {
+        core::EvalCache& cache = snapshot.cache();
         CAST_EXPECTS_MSG(request.workload.has_value(), "batch request carries no workload");
         if (level == DegradationLevel::kGreedy) {
             resp.batch = core::plan_cast_greedy(snapshot.models(), *request.workload, opts,
@@ -840,11 +840,15 @@ PlanResponse PlannerService::solve_direct(const Snapshot& snapshot, const PlanRe
         }
     } else {
         CAST_EXPECTS_MSG(request.workflow.has_value(), "workflow request carries no workflow");
+        // Memo scope: workflow keys (job content x provisioned capacity)
+        // almost never recur across requests, so the solve memoizes into
+        // its own table, freed with the solve, rather than growing the
+        // snapshot cache without bound.
         const core::WorkflowEvaluator evaluator(snapshot.models(), *request.workflow);
         const core::WorkflowSolver solver(evaluator, opts.annealing,
                                           options.workflow_deadline_safety);
-        resp.workflow = level == DegradationLevel::kGreedy ? solver.solve_greedy(&cache)
-                                                           : solver.solve(nullptr, &cache);
+        resp.workflow = level == DegradationLevel::kGreedy ? solver.solve_greedy()
+                                                           : solver.solve(nullptr);
     }
     resp.status = ResponseStatus::kOk;
     return resp;

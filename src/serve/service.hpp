@@ -9,9 +9,12 @@
 //   * a dispatcher thread pops them in batches, coalesces identical
 //     requests (popular-template replay solves once, everyone gets the
 //     bits), and fans the unique solves over the work-stealing ThreadPool,
-//   * every solve runs against the current immutable Snapshot and its
-//     snapshot-scoped EvalCache, so REG runtimes computed for request N
-//     are free for request N+1 (bit-identical by EvalCache's contract),
+//   * every solve runs against the current immutable Snapshot; batch and
+//     amend solves memoize into its snapshot-scoped EvalCache, so REG
+//     runtimes computed for request N are free for request N+1
+//     (bit-identical by EvalCache's contract), while workflow solves,
+//     whose keys do not recur across requests, get a table scoped to the
+//     solve,
 //   * per-request wall budgets and a service CancelToken make every solve
 //     boundable: exhaustion returns the best-so-far feasible plan flagged
 //     budget_exhausted, never an error.

@@ -9,8 +9,9 @@
 //   * pre-derived per-tier capacity/pricing terms (TierTerms) so serving
 //     code and reports never re-walk the virtual catalog interface,
 //   * one shared EvalCache, scoped to this snapshot's model set — the
-//     cross-request memo that lets request N+1 reuse every REG runtime
-//     request N computed (bit-identical by EvalCache's contract).
+//     cross-request memo that lets batch and amend request N+1 reuse every
+//     REG runtime request N computed (bit-identical by EvalCache's
+//     contract). Workflow solves memoize into a per-solve table instead.
 //
 // Snapshots are immutable and refcounted (std::shared_ptr<const Snapshot>):
 // every in-flight request holds the snapshot it was dispatched with, so a

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "test_support.hpp"
@@ -88,7 +90,7 @@ TEST(CastFacade, ConflictingGroupPinsRejectedWithClearError) {
     b.pinned_tier = StorageTier::kObjectStore;
     const workload::Workload w({a, b});
     try {
-        plan_cast_plus_plus(testing::small_models(), w, fast_cast_options());
+        (void)plan_cast_plus_plus(testing::small_models(), w, fast_cast_options());
         FAIL() << "expected ValidationError";
     } catch (const ValidationError& e) {
         EXPECT_NE(std::string(e.what()).find("reuse group"), std::string::npos);
@@ -255,7 +257,14 @@ TEST(WorkflowSolver, DeterministicChain) {
     WorkflowSolver solver(eval, opts);
     const auto a = solver.run_chain(42);
     const auto b = solver.run_chain(42);
-    EXPECT_DOUBLE_EQ(a.evaluation.total_cost().value(), b.evaluation.total_cost().value());
+    auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    EXPECT_EQ(bits(a.evaluation.total_cost().value()), bits(b.evaluation.total_cost().value()));
+    ASSERT_EQ(a.plan.decisions.size(), b.plan.decisions.size());
+    for (std::size_t i = 0; i < a.plan.decisions.size(); ++i) {
+        EXPECT_EQ(a.plan.decisions[i].tier, b.plan.decisions[i].tier);
+        EXPECT_EQ(bits(a.plan.decisions[i].overprovision),
+                  bits(b.plan.decisions[i].overprovision));
+    }
 }
 
 // --- Reuse scenarios (Fig. 3 economics).

@@ -179,6 +179,57 @@ TEST(PlannerService, WarmCacheReplayIsBitIdentical) {
     }
 }
 
+// Memo scope: a workflow solve memoizes into a table scoped to the solve.
+// A stream of distinct workflow requests must leave the snapshot cache
+// exactly as it found it (no unbounded growth), and each response's
+// cache_stats must describe that solve alone — the same counts a direct
+// solve on a fresh table reports, not the snapshot's cumulative totals.
+TEST(PlannerService, WorkflowSolvesLeaveSnapshotCacheUntouched) {
+    const ServiceOptions opts = fast_options(2);
+    const SnapshotPtr snap = fresh_snapshot();
+    PlannerService service(snap, opts);
+
+    // Warm the snapshot cache first, so "unchanged" is about a live table.
+    PlanRequest batch;
+    batch.id = 1;
+    batch.workload = workload_a();
+    batch.seed = 7;
+    ASSERT_TRUE(service.submit(batch).get().ok());
+    const std::size_t size_before = snap->cache().size();
+    const std::uint64_t inserts_before = snap->cache().stats().inserts;
+    ASSERT_GT(size_before, 0u);
+
+    for (int i = 0; i < 6; ++i) {
+        SCOPED_TRACE("workflow request " + std::to_string(i));
+        PlanRequest request;
+        request.id = 100 + static_cast<std::uint64_t>(i);
+        request.kind = RequestKind::kWorkflow;
+        request.workflow = workload::Workflow(
+            "wf-" + std::to_string(i),
+            {mk_job(1, AppKind::kSort, 40.0 + 10.0 * i),
+             mk_job(2, AppKind::kGrep, 30.0 + 5.0 * i)},
+            {{1, 2}}, Seconds{36000.0});
+        request.seed = 3;
+        const PlanResponse got = service.submit(request).get();
+        ASSERT_TRUE(got.ok()) << got.error;
+        ASSERT_EQ(got.degradation_level, DegradationLevel::kFull);
+
+        core::AnnealingOptions annealing = opts.solver.annealing;
+        annealing.seed = *request.seed;
+        const core::WorkflowEvaluator evaluator(snap->models(), *request.workflow);
+        const core::WorkflowSolveResult direct =
+            core::WorkflowSolver(evaluator, annealing, opts.workflow_deadline_safety)
+                .solve(nullptr);
+        const core::EvalCacheStats& stats = got.workflow->cache_stats;
+        EXPECT_GT(stats.misses, 0u);
+        EXPECT_EQ(stats.misses, direct.cache_stats.misses);
+        EXPECT_EQ(stats.hits, direct.cache_stats.hits);
+        EXPECT_EQ(stats.inserts, direct.cache_stats.inserts);
+    }
+    EXPECT_EQ(snap->cache().size(), size_before);
+    EXPECT_EQ(snap->cache().stats().inserts, inserts_before);
+}
+
 TEST(PlannerService, TinyBudgetFlagsExhaustionButStillPlans) {
     ServiceOptions opts = fast_options(2);
     opts.solver.annealing.iter_max = 2'000'000;
