@@ -1,11 +1,6 @@
-// Batch-simulation throughput bench: measures the two layers the parallel
-// experiment engine adds on top of the seed simulator and writes
-// BENCH_sim_throughput.json.
-//
-//   1. hot path — the same batch run serially with per-job allocation
-//      (scratch reuse off: fresh engine, fresh wave vectors per job, the
-//      seed behaviour) vs the reused thread-local arena;
-//   2. parallelism — the batch fanned over the work-stealing pool.
+// Batch-simulation throughput bench: the same batch run serially (each
+// thread reuses its simulation arena) and fanned over the work-stealing
+// pool. Writes BENCH_sim_throughput.json.
 //
 // Determinism is asserted, not assumed: the serial and pooled runs must
 // produce bit-identical makespans (exact double equality) before any
@@ -87,44 +82,30 @@ int main(int argc, char** argv) {
     // Warm-up: fault in code paths and page in the catalog before timing.
     (void)runner.run({configs.front()});
 
-    // 1. Serial, per-job allocation (the seed simulator's storage behaviour).
-    sim::set_scratch_reuse(false);
+    // 1. Serial.
     auto t0 = std::chrono::steady_clock::now();
-    const auto serial_alloc = runner.run(configs);
-    const double serial_alloc_s = bench::seconds_since(t0);
+    const auto serial = runner.run(configs);
+    const double serial_s = bench::seconds_since(t0);
 
-    // 2. Serial, reused thread-local arena (the new hot path).
-    sim::set_scratch_reuse(true);
-    t0 = std::chrono::steady_clock::now();
-    const auto serial_reuse = runner.run(configs);
-    const double serial_reuse_s = bench::seconds_since(t0);
-
-    // 3. Fanned over the work-stealing pool.
+    // 2. Fanned over the work-stealing pool.
     ThreadPool pool;
     t0 = std::chrono::steady_clock::now();
     const auto pooled = runner.run(configs, &pool);
     const double pooled_s = bench::seconds_since(t0);
 
-    const bool deterministic =
-        identical(serial_alloc, serial_reuse) && identical(serial_reuse, pooled);
-    if (!deterministic) {
+    if (!identical(serial, pooled)) {
         std::cerr << "FAIL: batch outcomes differ across modes\n";
         return 1;
     }
 
-    const double hot_path_speedup = serial_alloc_s / serial_reuse_s;
-    const double parallel_speedup = serial_reuse_s / pooled_s;
-    const double batch_speedup = serial_alloc_s / pooled_s;
+    const double parallel_speedup = serial_s / pooled_s;
     const unsigned host_cores = std::thread::hardware_concurrency();
 
-    std::cerr << "serial (per-job alloc): " << fmt(serial_alloc_s, 2) << " s ("
-              << fmt(n / serial_alloc_s, 1) << " jobs/s)\n"
-              << "serial (arena reuse):   " << fmt(serial_reuse_s, 2) << " s ("
-              << fmt(n / serial_reuse_s, 1) << " jobs/s, " << fmt(hot_path_speedup, 2)
+    std::cerr << "serial:              " << fmt(serial_s, 2) << " s ("
+              << fmt(n / serial_s, 1) << " jobs/s)\n"
+              << "pooled (" << pool.worker_count() << " workers): " << fmt(pooled_s, 2)
+              << " s (" << fmt(n / pooled_s, 1) << " jobs/s, " << fmt(parallel_speedup, 2)
               << "x)\n"
-              << "pooled (" << pool.worker_count() << " workers):     "
-              << fmt(pooled_s, 2) << " s (" << fmt(n / pooled_s, 1) << " jobs/s, "
-              << fmt(batch_speedup, 2) << "x vs seed)\n"
               << "determinism: serial and pooled outcomes bit-identical\n";
 
     bench::JsonObject json;
@@ -133,15 +114,11 @@ int main(int argc, char** argv) {
         .add("configs", static_cast<unsigned long long>(configs.size()))
         .add("host_cores", host_cores)
         .add("pool_workers", static_cast<unsigned long long>(pool.worker_count()))
-        .add("serial_alloc_s", serial_alloc_s, 4)
-        .add("serial_reuse_s", serial_reuse_s, 4)
+        .add("serial_reuse_s", serial_s, 4)
         .add("pooled_s", pooled_s, 4)
-        .add("jobs_per_s_serial_alloc", n / serial_alloc_s, 2)
-        .add("jobs_per_s_serial_reuse", n / serial_reuse_s, 2)
+        .add("jobs_per_s_serial_reuse", n / serial_s, 2)
         .add("jobs_per_s_pooled", n / pooled_s, 2)
-        .add("hot_path_speedup", hot_path_speedup, 3)
         .add("parallel_speedup", parallel_speedup, 3)
-        .add("batch_speedup_vs_seed", batch_speedup, 3)
         .add("deterministic_across_modes", true);
     bench::write_bench_json("BENCH_sim_throughput.json", json);
     return 0;

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cmath>
-#include <memory>
 
 #include "lint/analyzer.hpp"
 #include "lint/checks.hpp"
@@ -51,11 +50,7 @@ CastResult plan_with(const model::PerfModelSet& models, const workload::Workload
     // snapshot-scoped table) replaces the per-call one, so the memo also
     // survives across requests.
     EvalCache local_cache;
-    if (!options.annealing.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
-        cache = &local_cache;
-    }
+    if (cache == nullptr) cache = &local_cache;
 
     TieringPlan initial =
         greedy_projected_plan(evaluator, options.greedy_init, reuse_aware, cache);
@@ -109,17 +104,13 @@ CastResult plan_cast_greedy(const model::PerfModelSet& models,
     PlanEvaluator evaluator(models, workload, EvalOptions{.reuse_aware = reuse_aware});
 
     EvalCache local_cache;
-    if (!options.annealing.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
-        cache = &local_cache;
-    }
+    if (cache == nullptr) cache = &local_cache;
 
     CastResult out;
     out.plan = greedy_projected_plan(evaluator, options.greedy_init, reuse_aware, cache);
     out.evaluation = evaluator.evaluate(out.plan, cache);
     out.greedy_initial = out.plan;
-    if (cache != nullptr) out.cache_stats = cache->stats();
+    out.cache_stats = cache->stats();
     for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
         out.lint_notes.push_back(f->format());
     }
@@ -355,8 +346,6 @@ WorkflowSolver::WorkflowSolver(const WorkflowEvaluator& evaluator, AnnealingOpti
     CAST_EXPECTS(!options_.overprov_choices.empty());
     CAST_EXPECTS(options_.max_wall_ms >= 0.0);
     CAST_EXPECTS(deadline_safety_ > 0.0 && deadline_safety_ <= 1.0);
-    CAST_EXPECTS(options_.tempering_ladder_ratio >= 1.0);
-    CAST_EXPECTS(options_.exchange_stride >= 1);
     const auto& wf = evaluator_->workflow();
     if (!options_.active_jobs.empty()) {
         CAST_EXPECTS_MSG(options_.active_jobs.size() == wf.size(),
@@ -396,88 +385,92 @@ double WorkflowSolver::score(const WorkflowEvaluation& eval) const {
     return s;
 }
 
-WorkflowSolveResult WorkflowSolver::run_chain(std::uint64_t seed, EvalCache* cache) const {
-    return run_chain(seed, cache, SolveDeadline::from(options_));
-}
-
-struct WorkflowSolver::WfChainCtx {
+struct WorkflowSolver::Chain {
+    const WorkflowSolver* solver = nullptr;
+    EvalCache* cache = nullptr;
+    const SolveDeadline* deadline = nullptr;
     WorkflowPlan curr;
     WorkflowEvaluation curr_eval;
     double curr_score = 0.0;
     double best_score = 0.0;
-    /// Metropolis normalization. Per-chain on the legacy path (derived
-    /// from the chain's own start); one shared value under tempering so
-    /// exchange energies are comparable across rungs.
+    /// Metropolis normalization, shared by every replica so exchange
+    /// energies are comparable across rungs.
     double scale = 1.0;
     double temperature = 0.0;
     /// DFS cursor; identical across replicas at round barriers (all run
     /// the same iteration count), so exchanges never need to swap it.
     std::size_t cursor = 0;
     WorkflowSolveResult best;
+
+    void start(std::uint64_t start_seed);
+    void run_span(Rng& rng, int iter_begin, int iter_end);
+    [[nodiscard]] double energy() const { return -curr_score / scale; }
+    void swap_current(Chain& other) {
+        std::swap(curr, other.curr);
+        std::swap(curr_eval, other.curr_eval);
+        std::swap(curr_score, other.curr_score);
+    }
+    [[nodiscard]] int iterations() const { return best.iterations; }
+    [[nodiscard]] bool budget_exhausted() const { return best.budget_exhausted; }
 };
 
-void WorkflowSolver::init_wf_chain(WfChainCtx& ctx, std::uint64_t start_seed,
-                                   EvalCache* cache) const {
-    const auto& wf = evaluator_->workflow();
-    // Multi-start across chains: chain seeds ending in 0 start from the
-    // best canonical uniform plan; the rest rotate the starting tier (and a
-    // generous starting over-provision factor, since block-tier speed needs
-    // pooled capacity) by seed.
-    ctx.curr =
-        start_seed % 3 == 0
-            ? best_uniform_plan(cache)
-            : WorkflowPlan::uniform(
-                  wf.size(), cloud::kAllTiers[start_seed % cloud::kAllTiers.size()],
-                  options_.overprov_choices[(start_seed / 7) %
-                                            options_.overprov_choices.size()]);
-    ctx.curr_eval = evaluator_->evaluate(ctx.curr, cache);
-    if (!ctx.curr_eval.feasible) {
-        ctx.curr = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
-        ctx.curr_eval = evaluator_->evaluate(ctx.curr, cache);
+void WorkflowSolver::Chain::start(std::uint64_t start_seed) {
+    const auto& wf = solver->evaluator_->workflow();
+    const AnnealingOptions& options = solver->options_;
+    // Multi-start across replicas: start seeds divisible by 3 start from
+    // the best canonical uniform plan; the rest rotate the starting tier
+    // (and a generous starting over-provision factor, since block-tier
+    // speed needs pooled capacity) by seed.
+    curr = start_seed % 3 == 0
+               ? solver->best_uniform_plan(cache)
+               : WorkflowPlan::uniform(
+                     wf.size(), cloud::kAllTiers[start_seed % cloud::kAllTiers.size()],
+                     options.overprov_choices[(start_seed / 7) %
+                                              options.overprov_choices.size()]);
+    curr_eval = solver->evaluator_->evaluate(curr, cache);
+    if (!curr_eval.feasible) {
+        curr = WorkflowPlan::uniform(wf.size(), StorageTier::kPersistentSsd);
+        curr_eval = solver->evaluator_->evaluate(curr, cache);
     }
-    ctx.best.plan = ctx.curr;
-    ctx.best.evaluation = ctx.curr_eval;
-    ctx.curr_score = score(ctx.curr_eval);
-    ctx.best_score = ctx.curr_score;
-    ctx.scale = std::max(1.0, std::fabs(ctx.curr_score));
-    ctx.temperature = options_.initial_temperature;
-    ctx.cursor = 0;
+    best.plan = curr;
+    best.evaluation = curr_eval;
+    curr_score = solver->score(curr_eval);
+    best_score = curr_score;
 }
 
-void WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int iter_end,
-                                 const std::vector<std::size_t>& dfs, EvalCache* cache,
-                                 const SolveDeadline& deadline) const {
-    const bool bounded = !deadline.unbounded();
+void WorkflowSolver::Chain::run_span(Rng& rng, int iter_begin, int iter_end) {
+    const AnnealingOptions& options = solver->options_;
+    const std::vector<std::size_t>& dfs = solver->evaluator_->topology().dfs_order;
+    const bool bounded = !deadline->unbounded();
     for (int iter = iter_begin; iter < iter_end; ++iter) {
-        // Budget/cancel poll once per segment (incl. iter 0, so a chain
+        // Budget/cancel poll once per segment (incl. iter 0, so a replica
         // dispatched after the deadline returns its evaluated start plan
         // immediately). Best-so-far is feasible whenever any evaluated
-        // plan was — the persSSD-uniform retreat above guarantees one for
-        // every workflow the lint gate admits.
+        // plan was — the persSSD-uniform retreat in start() guarantees one
+        // for every workflow the lint gate admits.
         if (bounded && iter % AnnealingOptions::kBudgetCheckStride == 0 &&
-            deadline.expired()) {
-            ctx.best.budget_exhausted = true;
+            deadline->expired()) {
+            best.budget_exhausted = true;
             break;
         }
-        ctx.temperature =
-            std::max(ctx.temperature * options_.cooling, options_.min_temperature);
+        temperature = std::max(temperature * options.cooling, options.min_temperature);
 
         // DFS-order traversal of the DAG for neighbor generation (§4.3).
         // With an active_jobs mask, frozen jobs are skipped in DFS order —
         // the cursor advance is deterministic, so restricted solves keep
         // the bit-identity guarantees (the ctor rejects all-zero masks).
-        std::size_t job_idx = dfs[ctx.cursor];
-        ctx.cursor = (ctx.cursor + 1) % dfs.size();
-        if (!options_.active_jobs.empty()) {
-            while (options_.active_jobs[job_idx] == 0) {
-                job_idx = dfs[ctx.cursor];
-                ctx.cursor = (ctx.cursor + 1) % dfs.size();
+        std::size_t job_idx = dfs[cursor];
+        cursor = (cursor + 1) % dfs.size();
+        if (!options.active_jobs.empty()) {
+            while (options.active_jobs[job_idx] == 0) {
+                job_idx = dfs[cursor];
+                cursor = (cursor + 1) % dfs.size();
             }
         }
 
-        WorkflowPlan neighbor = ctx.curr;
+        WorkflowPlan neighbor = curr;
         PlacementDecision d = neighbor.decisions[job_idx];
-        if (rng.uniform() < options_.tier_move_probability) {
+        if (rng.uniform() < options.tier_move_probability) {
             StorageTier t;
             do {
                 t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
@@ -485,45 +478,25 @@ void WorkflowSolver::run_wf_span(WfChainCtx& ctx, Rng& rng, int iter_begin, int 
             d.tier = t;
         } else {
             d.overprovision =
-                options_.overprov_choices[rng.below(options_.overprov_choices.size())];
+                options.overprov_choices[rng.below(options.overprov_choices.size())];
         }
         neighbor.decisions[job_idx] = d;
 
-        const WorkflowEvaluation neighbor_eval = evaluator_->evaluate(neighbor, cache);
-        const double neighbor_score = score(neighbor_eval);
-        ++ctx.best.iterations;
-        if (neighbor_eval.feasible && neighbor_score > ctx.best_score) {
-            ctx.best.plan = neighbor;
-            ctx.best.evaluation = neighbor_eval;
-            ctx.best_score = neighbor_score;
+        const WorkflowEvaluation neighbor_eval = solver->evaluator_->evaluate(neighbor, cache);
+        const double neighbor_score = solver->score(neighbor_eval);
+        ++best.iterations;
+        if (neighbor_eval.feasible && neighbor_score > best_score) {
+            best.plan = neighbor;
+            best.evaluation = neighbor_eval;
+            best_score = neighbor_score;
         }
-        const double delta = (neighbor_score - ctx.curr_score) / ctx.scale;
-        if (delta >= 0.0 || rng.uniform() < std::exp(delta / ctx.temperature)) {
-            ctx.curr = std::move(neighbor);
-            ctx.curr_eval = neighbor_eval;
-            ctx.curr_score = neighbor_score;
+        const double delta = (neighbor_score - curr_score) / scale;
+        if (delta >= 0.0 || rng.uniform() < std::exp(delta / temperature)) {
+            curr = std::move(neighbor);
+            curr_eval = neighbor_eval;
+            curr_score = neighbor_score;
         }
     }
-}
-
-WorkflowSolveResult WorkflowSolver::run_chain(std::uint64_t seed, EvalCache* cache,
-                                              const SolveDeadline& deadline) const {
-    const std::vector<std::size_t>& dfs = evaluator_->topology().dfs_order;
-    CAST_EXPECTS(!dfs.empty());
-    Rng rng(seed);
-
-    std::unique_ptr<EvalCache> owned;
-    if (!options_.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
-        owned = std::make_unique<EvalCache>();
-        cache = owned.get();
-    }
-
-    WfChainCtx ctx;
-    init_wf_chain(ctx, seed, cache);
-    run_wf_span(ctx, rng, 0, options_.iter_max, dfs, cache, deadline);
-    return std::move(ctx.best);
 }
 
 WorkflowPlan WorkflowSolver::best_uniform_plan(EvalCache* cache) const {
@@ -557,63 +530,9 @@ WorkflowSolveResult WorkflowSolver::solve(ThreadPool* pool, EvalCache* cache) co
     lint::demote(pre, "L009", lint::Severity::kWarning);
     lint::enforce(pre);
 
-    std::unique_ptr<EvalCache> owned;
-    if (!options_.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
-        owned = std::make_unique<EvalCache>();
-        cache = owned.get();
-    }
-
-    if (options_.tempering && options_.chains > 1) {
-        WorkflowSolveResult chosen = solve_tempering(pool, cache, deadline);
-        for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
-            chosen.lint_notes.push_back(f->format());
-        }
-        return chosen;
-    }
-
-    std::vector<WorkflowSolveResult> results(static_cast<std::size_t>(options_.chains));
-    auto run_one = [&](std::size_t c) {
-        results[c] = run_chain(options_.seed + 104729 * (c + 1), cache, deadline);
-    };
-    if (pool != nullptr && options_.chains > 1) {
-        pool->parallel_for(results.size(), run_one);
-    } else {
-        for (std::size_t c = 0; c < results.size(); ++c) run_one(c);
-    }
-    // The canonical uniform sweep is a guaranteed floor: annealing must not
-    // return anything it scores below the best single-tier plan.
-    WorkflowSolveResult fallback;
-    fallback.plan = best_uniform_plan(cache);
-    fallback.evaluation = evaluator_->evaluate(fallback.plan, cache);
-    fallback.best_chain = -1;
-    std::size_t best = 0;
-    for (std::size_t c = 1; c < results.size(); ++c) {
-        if (score(results[c].evaluation) > score(results[best].evaluation)) best = c;
-    }
-    const bool fallback_wins = score(fallback.evaluation) > score(results[best].evaluation);
-    WorkflowSolveResult chosen =
-        fallback_wins ? std::move(fallback) : std::move(results[best]);
-    if (!fallback_wins) chosen.best_chain = static_cast<int>(best);
-    // Report the whole search's effort, not just the winner's share.
-    chosen.iterations = 0;
-    chosen.budget_exhausted = false;
-    for (const WorkflowSolveResult& r : results) {
-        chosen.iterations += r.iterations;
-        chosen.budget_exhausted = chosen.budget_exhausted || r.budget_exhausted;
-    }
-    if (cache != nullptr) chosen.cache_stats = cache->stats();
-    for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
-        chosen.lint_notes.push_back(f->format());
-    }
-    return chosen;
-}
-
-WorkflowSolveResult WorkflowSolver::solve_tempering(ThreadPool* pool, EvalCache* cache,
-                                                    const SolveDeadline& deadline) const {
-    const std::vector<std::size_t>& dfs = evaluator_->topology().dfs_order;
-    CAST_EXPECTS(!dfs.empty());
+    EvalCache local_cache;
+    if (cache == nullptr) cache = &local_cache;
+    CAST_EXPECTS(!evaluator_->topology().dfs_order.empty());
 
     // The uniform sweep is both the guaranteed result floor and the source
     // of the SHARED Metropolis/exchange normalization scale — replicas must
@@ -625,67 +544,19 @@ WorkflowSolveResult WorkflowSolver::solve_tempering(ThreadPool* pool, EvalCache*
     const double scale = std::max(1.0, std::fabs(score(fallback.evaluation)));
 
     const auto replicas = static_cast<std::size_t>(options_.chains);
-    std::vector<WfChainCtx> reps(replicas);
+    std::vector<Chain> reps(replicas);
     for (std::size_t r = 0; r < replicas; ++r) {
-        // Replica starts reuse the legacy chain-seed formula, so the
-        // tempered ladder explores the same diverse anchors the
-        // independent chains did.
-        init_wf_chain(reps[r], options_.seed + 104729 * (r + 1), cache);
-        reps[r].scale = scale;
-        reps[r].temperature = options_.initial_temperature *
-                              std::pow(options_.tempering_ladder_ratio,
-                                       static_cast<double>(r));
+        Chain& c = reps[r];
+        c.solver = this;
+        c.cache = cache;
+        c.deadline = &deadline;
+        c.start(options_.seed + 104729 * (r + 1));
+        c.scale = scale;
     }
+    TemperingStats stats = run_replica_exchange(reps, options_.iter_max,
+                                                options_.initial_temperature, options_.seed,
+                                                pool);
 
-    const TemperingSchedule sched(options_.iter_max, options_.exchange_stride,
-                                  options_.chains);
-    TemperingStats stats;
-    stats.replicas = options_.chains;
-    stats.exchange_attempts.assign(replicas - 1, 0);
-    stats.exchange_accepts.assign(replicas - 1, 0);
-    stats.replica_iterations.assign(replicas, 0);
-
-    bool out_of_budget = false;
-    for (int round = 0; round < sched.rounds(); ++round) {
-        auto run_one = [&](std::size_t r) {
-            Rng rng(TemperingSchedule::segment_seed(options_.seed, r,
-                                                    static_cast<std::uint64_t>(round)));
-            run_wf_span(reps[r], rng, sched.round_begin(round), sched.round_end(round), dfs,
-                        cache, deadline);
-        };
-        if (pool != nullptr && replicas > 1) {
-            pool->parallel_for(replicas, run_one, 1);
-        } else {
-            for (std::size_t r = 0; r < replicas; ++r) run_one(r);
-        }
-        ++stats.rounds;
-        for (const WfChainCtx& c : reps) {
-            out_of_budget = out_of_budget || c.best.budget_exhausted;
-        }
-        if (out_of_budget) break;
-        if (round + 1 < sched.rounds() && replicas > 1) {
-            Rng ex(TemperingSchedule::exchange_seed(options_.seed,
-                                                    static_cast<std::uint64_t>(round)));
-            for (int p = TemperingSchedule::first_pair(round);
-                 p + 1 < options_.chains; p += 2) {
-                const double u = ex.uniform();
-                ++stats.exchange_attempts[p];
-                const double e_cold = -reps[p].curr_score / scale;
-                const double e_hot = -reps[p + 1].curr_score / scale;
-                if (exchange_accept(1.0 / reps[p].temperature,
-                                    1.0 / reps[p + 1].temperature, e_cold, e_hot, u)) {
-                    std::swap(reps[p].curr, reps[p + 1].curr);
-                    std::swap(reps[p].curr_eval, reps[p + 1].curr_eval);
-                    std::swap(reps[p].curr_score, reps[p + 1].curr_score);
-                    ++stats.exchange_accepts[p];
-                }
-            }
-        }
-    }
-
-    for (std::size_t r = 0; r < replicas; ++r) {
-        stats.replica_iterations[r] = reps[r].best.iterations;
-    }
     std::size_t best = 0;
     for (std::size_t r = 1; r < replicas; ++r) {
         if (score(reps[r].best.evaluation) > score(reps[best].best.evaluation)) best = r;
@@ -696,10 +567,16 @@ WorkflowSolveResult WorkflowSolver::solve_tempering(ThreadPool* pool, EvalCache*
         fallback_wins ? std::move(fallback) : std::move(reps[best].best);
     if (!fallback_wins) chosen.best_chain = static_cast<int>(best);
     chosen.iterations = 0;
-    chosen.budget_exhausted = out_of_budget;
-    for (const WfChainCtx& c : reps) chosen.iterations += c.best.iterations;
-    if (cache != nullptr) chosen.cache_stats = cache->stats();
+    chosen.budget_exhausted = false;
+    for (const Chain& c : reps) {
+        chosen.iterations += c.best.iterations;
+        chosen.budget_exhausted = chosen.budget_exhausted || c.best.budget_exhausted;
+    }
+    chosen.cache_stats = cache->stats();
     chosen.tempering = std::move(stats);
+    for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
+        chosen.lint_notes.push_back(f->format());
+    }
     return chosen;
 }
 
@@ -712,19 +589,14 @@ WorkflowSolveResult WorkflowSolver::solve_greedy(EvalCache* cache) const {
     lint::demote(pre, "L009", lint::Severity::kWarning);
     lint::enforce(pre);
 
-    std::unique_ptr<EvalCache> owned;
-    if (!options_.use_evaluation_cache) {
-        cache = nullptr;
-    } else if (cache == nullptr) {
-        owned = std::make_unique<EvalCache>();
-        cache = owned.get();
-    }
+    EvalCache local_cache;
+    if (cache == nullptr) cache = &local_cache;
 
     WorkflowSolveResult out;
     out.plan = best_uniform_plan(cache);
     out.evaluation = evaluator_->evaluate(out.plan, cache);
     out.best_chain = -1;  // the uniform sweep "won" by being the only entry
-    if (cache != nullptr) out.cache_stats = cache->stats();
+    out.cache_stats = cache->stats();
     for (const lint::Finding* f : pre.at(lint::Severity::kWarning)) {
         out.lint_notes.push_back(f->format());
     }

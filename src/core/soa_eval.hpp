@@ -1,10 +1,11 @@
-// Struct-of-arrays evaluation core for the annealing hot loop.
+// Struct-of-arrays evaluation core for the annealing hot loop — the only
+// evaluator the annealing search runs on.
 //
 // PlanEvaluator::evaluate_delta is already incremental, but every call
-// still allocates: propose_neighbor copies the whole TieringPlan
-// (~16·n bytes) and evaluate_delta copies the base's job_runtimes vector
-// into a fresh PlanEvaluation. At ~1 µs per iteration those two
-// alloc/copy pairs dominate the solver's cache behaviour.
+// allocates: a neighbor is a whole TieringPlan copy (~16·n bytes) and
+// evaluate_delta copies the base's job_runtimes vector into a fresh
+// PlanEvaluation. At ~1 µs per iteration those two alloc/copy pairs would
+// dominate the solver's cache behaviour.
 //
 // SoaEvaluator keeps ONE flat state per chain and mutates it in place:
 //
@@ -23,8 +24,9 @@
 // in the same order (index-order capacity accumulation, the objStore
 // persSSD floor, provider provisioning rounding, bitwise per-VM
 // reusability, index-order runtime summation, Eq. 5/6 via the shared
-// eq5_eq6_costs). Golden tests assert exact double equality against the
-// AoS evaluator along full annealing trajectories.
+// eq5_eq6_costs). A differential property test asserts exact double
+// equality against PlanEvaluator::evaluate (the oracle) at every committed
+// state of seeded annealing walks and on every solve result.
 //
 // An AoS mirror of the decisions is maintained alongside the flat arrays
 // (one 16-byte write per decision change) so the shared lint checks and

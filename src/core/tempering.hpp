@@ -1,4 +1,5 @@
-// Deterministic replica-exchange (parallel tempering) schedule.
+// Deterministic replica-exchange (parallel tempering): the one search
+// loop behind both annealing solvers.
 //
 // Independent annealing chains waste parallel hardware: every chain pays
 // the full cool-down, and the cold ones get stuck in the first decent
@@ -6,13 +7,14 @@
 // ladder and periodically swaps the *states* of adjacent rungs, so a plan
 // discovered by a hot, exploratory replica can migrate down the ladder
 // and be refined by the cold ones — strictly better use of the same
-// iteration budget.
+// iteration budget. A single chain is simply a one-rung ladder: the same
+// rounds and per-segment seeds, no exchanges.
 //
 // The schedule here is built for bit-reproducibility at any worker count:
 //
-//   * Replicas advance in lock-step rounds of `exchange_stride`
-//     iterations. Within a round no replica reads another's state, so the
-//     pool may run them in any order on any number of workers.
+//   * Replicas advance in lock-step rounds of kExchangeStride iterations.
+//     Within a round no replica reads another's state, so the pool may
+//     run them in any order on any number of workers.
 //   * Each (replica, round) segment draws from a fresh Rng whose seed is
 //     a pure function of (solve seed, replica, round) — a replica's
 //     trajectory does not depend on how many iterations some worker
@@ -29,34 +31,44 @@
 #pragma once
 
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace cast::core {
+
+/// Geometric rung spacing: replica r starts its cooling at
+/// initial_temperature · kLadderRatio^r, so the ladder spans exploration
+/// (hot) to refinement (cold) with roughly constant exchange rates.
+inline constexpr double kLadderRatio = 1.6;
+
+/// Iterations between exchange barriers. Coarse enough that barrier
+/// synchronization vanishes against ~µs evaluations, fine enough that
+/// good states traverse the whole ladder many times per solve.
+inline constexpr int kExchangeStride = 256;
 
 /// Round boundaries and per-segment seed derivation for one tempered
 /// solve. Pure arithmetic; holds no replica state.
 class TemperingSchedule {
 public:
-    TemperingSchedule(int iter_max, int exchange_stride, int replicas)
-        : iter_max_(iter_max), stride_(exchange_stride), replicas_(replicas) {
+    TemperingSchedule(int iter_max, int replicas) : iter_max_(iter_max), replicas_(replicas) {
         CAST_EXPECTS(iter_max_ >= 1);
-        CAST_EXPECTS(stride_ >= 1);
         CAST_EXPECTS(replicas_ >= 1);
-        rounds_ = (iter_max_ + stride_ - 1) / stride_;
+        rounds_ = (iter_max_ + kExchangeStride - 1) / kExchangeStride;
     }
 
     [[nodiscard]] int rounds() const { return rounds_; }
     [[nodiscard]] int replicas() const { return replicas_; }
 
     /// Global iteration range [begin, end) of `round`; the last round is
-    /// short when exchange_stride does not divide iter_max.
-    [[nodiscard]] int round_begin(int round) const { return round * stride_; }
+    /// short when kExchangeStride does not divide iter_max.
+    [[nodiscard]] int round_begin(int round) const { return round * kExchangeStride; }
     [[nodiscard]] int round_end(int round) const {
-        const int end = (round + 1) * stride_;
+        const int end = (round + 1) * kExchangeStride;
         return end < iter_max_ ? end : iter_max_;
     }
 
@@ -92,7 +104,6 @@ public:
 
 private:
     int iter_max_;
-    int stride_;
     int replicas_;
     int rounds_;
 };
@@ -112,7 +123,8 @@ private:
 /// Per-solve replica-exchange statistics, exported through result structs
 /// and the serve-layer MetricsRegistry ("solver.tempering.*").
 struct TemperingStats {
-    /// 0 when the solve ran the legacy independent-chain path.
+    /// 0 when no search ran (greedy-only answers); a one-chain solve is a
+    /// one-rung ladder and reports 1.
     int replicas = 0;
     /// Rounds actually executed (== schedule rounds unless the wall
     /// budget stopped the solve early).
@@ -137,5 +149,85 @@ struct TemperingStats {
         return n;
     }
 };
+
+/// What run_replica_exchange needs from one replica's search state.
+/// run_replica_exchange owns `temperature` (it sets the ladder and reads
+/// β = 1/T at the barriers); everything else is the solver's.
+template <typename Chain>
+concept ReplicaChain = requires(Chain& chain, const Chain& cchain, Rng& rng, int iter) {
+    { chain.temperature } -> std::same_as<double&>;
+    /// Advance global iterations [begin, end), drawing only from `rng`.
+    chain.run_span(rng, iter, iter);
+    /// Dimensionless energy of the current state (lower is better).
+    { cchain.energy() } -> std::convertible_to<double>;
+    /// Exchange current states (not bests or counters) with another rung.
+    chain.swap_current(chain);
+    { cchain.iterations() } -> std::convertible_to<int>;
+    /// True once the wall budget or a cancellation stopped this replica.
+    { cchain.budget_exhausted() } -> std::convertible_to<bool>;
+};
+
+/// Run one tempered solve over `replicas` (already seeded with their start
+/// states): set the ladder temperatures, advance every replica round by
+/// round — on `pool` when given — stop after the first round in which any
+/// replica ran out of budget, and sweep adjacent-rung exchanges at every
+/// barrier. The result is a pure function of the replicas' start states,
+/// iter_max, initial_temperature and seed, at any worker count.
+template <ReplicaChain Chain>
+[[nodiscard]] TemperingStats run_replica_exchange(std::vector<Chain>& replicas, int iter_max,
+                                                  double initial_temperature,
+                                                  std::uint64_t seed, ThreadPool* pool) {
+    const std::size_t n = replicas.size();
+    CAST_EXPECTS(n >= 1);
+    for (std::size_t r = 0; r < n; ++r) {
+        replicas[r].temperature =
+            initial_temperature * std::pow(kLadderRatio, static_cast<double>(r));
+    }
+    const TemperingSchedule sched(iter_max, static_cast<int>(n));
+    TemperingStats stats;
+    stats.replicas = static_cast<int>(n);
+    stats.exchange_attempts.assign(n - 1, 0);
+    stats.exchange_accepts.assign(n - 1, 0);
+    stats.replica_iterations.assign(n, 0);
+
+    for (int round = 0; round < sched.rounds(); ++round) {
+        // Within a round replicas are fully independent (per-segment Rng,
+        // private state, value-deterministic shared cache), so the pool
+        // may execute them in any order on any number of workers without
+        // changing a single draw.
+        auto run_one = [&](std::size_t r) {
+            Rng rng(
+                TemperingSchedule::segment_seed(seed, r, static_cast<std::uint64_t>(round)));
+            replicas[r].run_span(rng, sched.round_begin(round), sched.round_end(round));
+        };
+        if (pool != nullptr && n > 1) {
+            pool->parallel_for(n, run_one, 1);
+        } else {
+            for (std::size_t r = 0; r < n; ++r) run_one(r);
+        }
+        ++stats.rounds;
+        bool out_of_budget = false;
+        for (const Chain& c : replicas) out_of_budget = out_of_budget || c.budget_exhausted();
+        if (out_of_budget) break;
+        if (round + 1 < sched.rounds() && n > 1) {
+            // The draw is consumed before deciding so the exchange stream
+            // stays aligned whatever the outcomes.
+            Rng ex(TemperingSchedule::exchange_seed(seed, static_cast<std::uint64_t>(round)));
+            for (auto p = static_cast<std::size_t>(TemperingSchedule::first_pair(round));
+                 p + 1 < n; p += 2) {
+                const double u = ex.uniform();
+                ++stats.exchange_attempts[p];
+                if (exchange_accept(1.0 / replicas[p].temperature,
+                                    1.0 / replicas[p + 1].temperature, replicas[p].energy(),
+                                    replicas[p + 1].energy(), u)) {
+                    replicas[p].swap_current(replicas[p + 1]);
+                    ++stats.exchange_accepts[p];
+                }
+            }
+        }
+    }
+    for (std::size_t r = 0; r < n; ++r) stats.replica_iterations[r] = replicas[r].iterations();
+    return stats;
+}
 
 }  // namespace cast::core

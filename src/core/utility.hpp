@@ -102,8 +102,8 @@ public:
 
     /// Incremental evaluation of a neighbor plan. `base` must be the
     /// evaluation of a plan that differs from `plan` only at the job
-    /// indices listed in `changed_jobs` (the caller's contract; annealing's
-    /// move generator provides exactly this). Feasibility checks and
+    /// indices listed in `changed_jobs` (the caller's contract; the
+    /// incremental re-planner's repair sweep provides exactly this). Feasibility checks and
     /// capacity accounting are always recomputed in full — they are cheap
     /// arithmetic and carry the tier-coupled terms (objStore persSSD floor,
     /// ephSSD backing capacity, provisioning rounding). Job runtimes are

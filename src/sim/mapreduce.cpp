@@ -1,7 +1,6 @@
 #include "sim/mapreduce.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <optional>
 #include <string>
@@ -21,15 +20,7 @@ using workload::ApplicationProfile;
 // Capacity of the uncontended resource used for CPU work and fixed delays.
 constexpr double kUnboundedMbps = 1e15;
 
-std::atomic<bool> g_scratch_reuse{true};
-
 }  // namespace
-
-void set_scratch_reuse(bool enabled) {
-    g_scratch_reuse.store(enabled, std::memory_order_relaxed);
-}
-
-bool scratch_reuse_enabled() { return g_scratch_reuse.load(std::memory_order_relaxed); }
 
 JobPlacement JobPlacement::on_tier(const workload::JobSpec& job, StorageTier tier) {
     JobPlacement p;
@@ -182,13 +173,10 @@ struct SimScratch {
 }  // namespace detail
 
 JobResult ClusterSim::run_job(const JobPlacement& placement) const {
-    if (scratch_reuse_enabled()) {
-        // One scratch per thread: BatchRunner workers, profiler calibration
-        // threads and serial callers all reuse their own arena.
-        static thread_local detail::SimScratch scratch;
-        return run_job_impl(placement, scratch);
-    }
-    detail::SimScratch scratch;
+    // One scratch per thread: BatchRunner workers, profiler calibration
+    // threads and serial callers all reuse their own arena. The scratch is
+    // storage, never state, so results do not depend on what ran before.
+    static thread_local detail::SimScratch scratch;
     return run_job_impl(placement, scratch);
 }
 

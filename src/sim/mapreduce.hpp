@@ -32,14 +32,6 @@ namespace detail {
 struct SimScratch;
 }  // namespace detail
 
-/// Process-global switch for reuse of the thread-local simulation scratch
-/// (arena flow engine, wave task batch, phase bookkeeping). On by default;
-/// the sim_throughput bench turns it off to measure the per-job allocation
-/// cost the scratch removes. Simulation results are bit-identical either
-/// way — the scratch is storage, never state.
-void set_scratch_reuse(bool enabled);
-[[nodiscard]] bool scratch_reuse_enabled();
-
 /// Per-VM provisioned capacity for each tier (zero = tier not attached).
 /// objStore needs no provisioning to be readable; a nonzero value there
 /// only matters for cost accounting, not simulation.

@@ -64,27 +64,38 @@ TEST(Annealing, BeatsOrMatchesGreedy) {
 TEST(Annealing, DeterministicChain) {
     PlanEvaluator eval(testing::small_models(), mixed_workload());
     const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    AnnealingSolver solver(eval, fast_options());
-    const auto a = solver.run_chain(init, 123);
-    const auto b = solver.run_chain(init, 123);
-    EXPECT_DOUBLE_EQ(a.evaluation.utility, b.evaluation.utility);
+    AnnealingOptions opts = fast_options();
+    opts.chains = 1;
+    opts.seed = 123;
+    AnnealingSolver solver(eval, opts);
+    const auto a = solver.solve(init);
+    const auto b = solver.solve(init);
+    EXPECT_EQ(a.evaluation.utility, b.evaluation.utility);
+    EXPECT_EQ(a.accepted_moves, b.accepted_moves);
     for (std::size_t i = 0; i < a.plan.size(); ++i) {
         EXPECT_EQ(a.plan.decision(i).tier, b.plan.decision(i).tier);
-        EXPECT_DOUBLE_EQ(a.plan.decision(i).overprovision, b.plan.decision(i).overprovision);
+        EXPECT_EQ(a.plan.decision(i).overprovision, b.plan.decision(i).overprovision);
     }
 }
 
 TEST(Annealing, MultiChainTakesBest) {
+    // Within one exchange round there is no barrier, so rung 0 of a
+    // three-rung ladder replays the one-rung solve's trajectory exactly
+    // (same start, seed and temperature): the ladder's answer, the best
+    // over its replicas, can only match or beat it.
     PlanEvaluator eval(testing::small_models(), mixed_workload());
     const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentHdd);
     AnnealingOptions opts = fast_options();
+    opts.iter_max = 200;
+    opts.chains = 1;
+    const auto single = AnnealingSolver(eval, opts).solve(init);
     opts.chains = 3;
-    AnnealingSolver solver(eval, opts);
-    const auto multi = solver.solve(init);
-    for (int c = 1; c <= 3; ++c) {
-        const auto single = solver.run_chain(init, opts.seed + 7919 * c);
-        EXPECT_GE(multi.evaluation.utility, single.evaluation.utility - 1e-12);
-    }
+    const auto multi = AnnealingSolver(eval, opts).solve(init);
+    ASSERT_EQ(multi.tempering.rounds, 1);
+    EXPECT_EQ(multi.tempering.total_attempts(), 0u);
+    EXPECT_GE(multi.evaluation.utility, single.evaluation.utility);
+    EXPECT_GE(multi.best_chain, 0);
+    EXPECT_LT(multi.best_chain, 3);
 }
 
 TEST(Annealing, ParallelSolveMatchesSerialSolve) {
@@ -102,8 +113,7 @@ TEST(Annealing, RejectsInfeasibleInitialPlan) {
     const workload::Workload w({mk_job(1, AppKind::kSort, 4000.0)});
     PlanEvaluator eval(testing::small_models(), w);
     AnnealingSolver solver(eval, fast_options());
-    EXPECT_THROW((void)solver.run_chain(TieringPlan::uniform(1, StorageTier::kEphemeralSsd),
-                                        1),
+    EXPECT_THROW((void)solver.solve(TieringPlan::uniform(1, StorageTier::kEphemeralSsd)),
                  PreconditionError);
 }
 
@@ -157,11 +167,13 @@ TEST(Annealing, OptionValidation) {
 
 TEST(Annealing, AcceptedMovesCounted) {
     PlanEvaluator eval(testing::small_models(), mixed_workload());
-    AnnealingSolver solver(eval, fast_options());
-    const auto result =
-        solver.run_chain(TieringPlan::uniform(6, StorageTier::kPersistentSsd), 5);
+    AnnealingOptions opts = fast_options();
+    opts.chains = 1;
+    opts.seed = 5;
+    AnnealingSolver solver(eval, opts);
+    const auto result = solver.solve(TieringPlan::uniform(6, StorageTier::kPersistentSsd));
     EXPECT_GT(result.accepted_moves, 0);
-    EXPECT_EQ(result.iterations, fast_options().iter_max);
+    EXPECT_EQ(result.iterations, opts.iter_max);
 }
 
 }  // namespace

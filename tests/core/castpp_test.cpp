@@ -254,9 +254,11 @@ TEST(WorkflowSolver, DeterministicChain) {
     WorkflowEvaluator eval(testing::small_models(), wf);
     AnnealingOptions opts;
     opts.iter_max = 800;
+    opts.chains = 1;
+    opts.seed = 42;
     WorkflowSolver solver(eval, opts);
-    const auto a = solver.run_chain(42);
-    const auto b = solver.run_chain(42);
+    const auto a = solver.solve();
+    const auto b = solver.solve();
     auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
     EXPECT_EQ(bits(a.evaluation.total_cost().value()), bits(b.evaluation.total_cost().value()));
     ASSERT_EQ(a.plan.decisions.size(), b.plan.decisions.size());

@@ -7,6 +7,7 @@
 
 #include "core/annealing.hpp"
 #include "core/castpp.hpp"
+#include "core/soa_eval.hpp"
 #include "test_support.hpp"
 #include "workload/facebook.hpp"
 
@@ -131,13 +132,56 @@ void expect_bit_identical(const PlanEvaluation& delta, const PlanEvaluation& ful
     }
 }
 
+/// Test-local neighbor generator for the golden walk: one move unit to a
+/// new tier or over-provisioning factor, or (one draw in ten) every unit
+/// running one application class moved to one tier — the multi-job
+/// changed sets the delta path must handle too. Tier pins are honored so
+/// the walk keeps moving. Appends every decision that differs to
+/// `changed` (cleared first), which is the evaluate_delta contract.
+TieringPlan random_neighbor(Rng& rng, const TieringPlan& curr,
+                            const std::vector<MoveUnit>& units,
+                            std::vector<std::size_t>& changed) {
+    static const std::vector<double> kFactors = AnnealingOptions{}.overprov_choices;
+    changed.clear();
+    TieringPlan next = curr;
+    const auto set = [&](std::size_t j, PlacementDecision d) {
+        const PlacementDecision& old = curr.decision(j);
+        if (d.tier == old.tier && d.overprovision == old.overprovision) return;
+        next.set_decision(j, d);
+        changed.push_back(j);
+    };
+    if (rng.uniform() < 0.1) {
+        const AppKind app = workload::kAllApps[rng.below(workload::kAllApps.size())];
+        const StorageTier t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
+        for (const MoveUnit& unit : units) {
+            if ((unit.app_mask & (1u << workload::app_index(app))) == 0 ||
+                (unit.allowed_tiers & (1u << cloud::tier_index(t))) == 0) {
+                continue;
+            }
+            for (std::size_t j : unit.jobs) {
+                set(j, PlacementDecision{t, curr.decision(j).overprovision});
+            }
+        }
+    } else {
+        const MoveUnit& unit = units[rng.below(units.size())];
+        PlacementDecision d = curr.decision(unit.jobs.front());
+        const StorageTier t = cloud::kAllTiers[rng.below(cloud::kAllTiers.size())];
+        if (rng.uniform() < 0.7 && (unit.allowed_tiers & (1u << cloud::tier_index(t))) != 0) {
+            d.tier = t;
+        } else {
+            d.overprovision = kFactors[rng.below(kFactors.size())];
+        }
+        for (std::size_t j : unit.jobs) set(j, d);
+    }
+    return next;
+}
+
 void golden_walk(bool reuse_aware) {
     const workload::Workload w = workload::synthesize_facebook_workload(7);
     PlanEvaluator eval(testing::small_models(), w, EvalOptions{.reuse_aware = reuse_aware});
     AnnealingOptions opts;
     opts.group_moves = reuse_aware;
-    AnnealingSolver solver(eval, opts);
-    const auto units = solver.move_units();
+    const auto units = AnnealingSolver(eval, opts).move_units();
 
     EvalCache cache;
     TieringPlan curr = TieringPlan::uniform(w.size(), StorageTier::kPersistentSsd);
@@ -148,7 +192,7 @@ void golden_walk(bool reuse_aware) {
     std::vector<std::size_t> changed;
     int accepted = 0;
     for (int step = 0; step < 1200; ++step) {
-        const TieringPlan next = solver.propose_neighbor(rng, curr, units, changed);
+        const TieringPlan next = random_neighbor(rng, curr, units, changed);
         const PlanEvaluation delta_eval = eval.evaluate_delta(curr_eval, next, changed, &cache);
         const PlanEvaluation full_eval = eval.evaluate(next);  // fresh, uncached
         expect_bit_identical(delta_eval, full_eval, step);
@@ -166,31 +210,6 @@ void golden_walk(bool reuse_aware) {
 TEST(EvalCacheGolden, DeltaMatchesFullEvaluationReuseOblivious) { golden_walk(false); }
 
 TEST(EvalCacheGolden, DeltaMatchesFullEvaluationReuseAware) { golden_walk(true); }
-
-TEST(EvalCacheGolden, CachedChainBitIdenticalToUncachedChain) {
-    // The cache and delta path must not perturb the search trajectory: the
-    // same seed must produce the same plan and utility, bit for bit.
-    PlanEvaluator eval(testing::small_models(), mixed_workload());
-    AnnealingOptions cached_opts;
-    cached_opts.iter_max = 2500;
-    AnnealingOptions uncached_opts = cached_opts;
-    uncached_opts.use_evaluation_cache = false;
-    AnnealingSolver cached(eval, cached_opts);
-    AnnealingSolver uncached(eval, uncached_opts);
-    const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    for (std::uint64_t seed : {1ULL, 42ULL, 977ULL}) {
-        const auto a = cached.run_chain(init, seed);
-        const auto b = uncached.run_chain(init, seed);
-        EXPECT_EQ(a.evaluation.utility, b.evaluation.utility) << "seed " << seed;
-        EXPECT_EQ(a.accepted_moves, b.accepted_moves) << "seed " << seed;
-        EXPECT_EQ(a.infeasible_neighbors, b.infeasible_neighbors) << "seed " << seed;
-        ASSERT_EQ(a.plan.size(), b.plan.size());
-        for (std::size_t i = 0; i < a.plan.size(); ++i) {
-            EXPECT_EQ(a.plan.decision(i).tier, b.plan.decision(i).tier);
-            EXPECT_EQ(a.plan.decision(i).overprovision, b.plan.decision(i).overprovision);
-        }
-    }
-}
 
 TEST(EvalCacheGolden, SharedCacheAcrossParallelChainsMatchesSerial) {
     // Eight chains hammering one memo table through the ThreadPool must be
@@ -221,13 +240,37 @@ TEST(EvalCacheGolden, SharedCacheAcrossParallelChainsMatchesSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Move-generator regressions (pins + per-unit app membership).
+// Move-generator regressions (pins + per-unit app membership), driven on the
+// SoA state the annealing loop proposes into.
 // ---------------------------------------------------------------------------
+
+/// A SoA state seeded from `plan`, with the evaluator it belongs to.
+struct SoaWalk {
+    SoaEvaluator soa;
+    SoaState state;
+
+    SoaWalk(const PlanEvaluator& eval, const TieringPlan& plan) : soa(eval) {
+        soa.init(state, plan, eval.evaluate(plan));
+    }
+
+    [[nodiscard]] const std::vector<PlacementDecision>& decisions() const {
+        return state.mirror;
+    }
+
+    /// Evaluate the staged proposal; commit it when feasible, else revert.
+    void settle(const std::vector<std::size_t>& changed) {
+        if (!changed.empty() && soa.evaluate_candidate(state, changed, nullptr)) {
+            soa.commit(state);
+        } else {
+            soa.revert(state);
+        }
+    }
+};
 
 TEST(AnnealingMoves, AppMoveRelocatesUnitsByMembership) {
     // Reuse group whose FIRST member is Grep but which contains a Sort job:
-    // a Sort batch move must relocate the whole group (the old generator
-    // classified the unit by its front job and would never move it), while
+    // a Sort batch move must relocate the whole group (a generator that
+    // classified the unit by its front job would never move it), while
     // the solo Grep job stays put.
     const workload::Workload w({mk_job(1, AppKind::kGrep, 30.0, 1),
                                 mk_job(2, AppKind::kSort, 30.0, 1),
@@ -240,17 +283,18 @@ TEST(AnnealingMoves, AppMoveRelocatesUnitsByMembership) {
     AnnealingSolver solver(eval, opts);
     const auto units = solver.move_units();
 
-    const TieringPlan curr = TieringPlan::uniform(3, StorageTier::kPersistentSsd);
+    SoaWalk walk(eval, TieringPlan::uniform(3, StorageTier::kPersistentSsd));
     Rng rng(5);
     std::vector<std::size_t> changed;
     bool group_moved_alone = false;
     for (int i = 0; i < 400; ++i) {
-        const TieringPlan next = solver.propose_neighbor(rng, curr, units, changed);
+        solver.propose_neighbor(rng, walk.soa, walk.state, units, changed);
         // Eq. 7 must hold structurally on every proposal.
-        EXPECT_EQ(next.decision(0).tier, next.decision(1).tier);
+        EXPECT_EQ(walk.decisions()[0].tier, walk.decisions()[1].tier);
         std::vector<std::size_t> sorted = changed;
         std::sort(sorted.begin(), sorted.end());
         if (sorted == std::vector<std::size_t>{0, 1}) group_moved_alone = true;
+        walk.soa.revert(walk.state);  // every proposal starts from the uniform plan
     }
     // Only a Sort draw moves the group without the solo Grep job; seeing it
     // proves membership is per-unit, not front-job.
@@ -269,16 +313,17 @@ TEST(AnnealingMoves, AppMoveRespectsTierPins) {
     AnnealingSolver solver(eval, opts);
     const auto units = solver.move_units();
 
-    TieringPlan curr = TieringPlan::uniform(3, StorageTier::kPersistentSsd);
+    SoaWalk walk(eval, TieringPlan::uniform(3, StorageTier::kPersistentSsd));
     Rng rng(11);
     std::vector<std::size_t> changed;
     bool unpinned_sort_moved = false;
     for (int i = 0; i < 400; ++i) {
-        const TieringPlan next = solver.propose_neighbor(rng, curr, units, changed);
-        EXPECT_EQ(next.decision(0).tier, StorageTier::kPersistentSsd)
+        const StorageTier before = walk.decisions()[1].tier;
+        solver.propose_neighbor(rng, walk.soa, walk.state, units, changed);
+        EXPECT_EQ(walk.decisions()[0].tier, StorageTier::kPersistentSsd)
             << "pinned job moved on proposal " << i;
-        if (next.decision(1).tier != curr.decision(1).tier) unpinned_sort_moved = true;
-        if (!changed.empty()) curr = next;  // keep walking
+        if (walk.decisions()[1].tier != before) unpinned_sort_moved = true;
+        walk.settle(changed);  // keep walking
     }
     // The pin must constrain only its own job, not its whole app class.
     EXPECT_TRUE(unpinned_sort_moved);
@@ -295,25 +340,24 @@ TEST(AnnealingMoves, TierMoveDegradesToFactorMoveWhenFullyPinned) {
     AnnealingSolver solver(eval, opts);
     const auto units = solver.move_units();
 
-    TieringPlan curr = TieringPlan::uniform(1, StorageTier::kPersistentHdd);
+    SoaWalk walk(eval, TieringPlan::uniform(1, StorageTier::kPersistentHdd));
     Rng rng(3);
     std::vector<std::size_t> changed;
     bool factor_changed = false;
     for (int i = 0; i < 100; ++i) {
-        const TieringPlan next = solver.propose_neighbor(rng, curr, units, changed);
-        EXPECT_EQ(next.decision(0).tier, StorageTier::kPersistentHdd);
-        if (next.decision(0).overprovision != curr.decision(0).overprovision) {
-            factor_changed = true;
-            curr = next;
-        }
+        const double before = walk.decisions()[0].overprovision;
+        solver.propose_neighbor(rng, walk.soa, walk.state, units, changed);
+        EXPECT_EQ(walk.decisions()[0].tier, StorageTier::kPersistentHdd);
+        if (walk.decisions()[0].overprovision != before) factor_changed = true;
+        walk.settle(changed);
     }
     EXPECT_TRUE(factor_changed);
 }
 
 TEST(AnnealingMoves, FullyPinnedChainProposesNoInfeasibleNeighbors) {
-    // With every job pinned, the old generator kept proposing pin-violating
-    // tier moves that evaluation then rejected; the fixed generator never
-    // wastes an iteration on one.
+    // With every job pinned, a pin-blind generator keeps proposing
+    // pin-violating tier moves that evaluation then rejects; the generator
+    // never wastes an iteration on one, on any replica.
     std::vector<workload::JobSpec> jobs;
     for (int i = 1; i <= 4; ++i) {
         workload::JobSpec j = mk_job(i, AppKind::kGrep, 20.0 + i);
@@ -323,11 +367,11 @@ TEST(AnnealingMoves, FullyPinnedChainProposesNoInfeasibleNeighbors) {
     PlanEvaluator eval(testing::small_models(), workload::Workload(jobs));
     AnnealingOptions opts;
     opts.iter_max = 2000;
+    opts.seed = 9;
     AnnealingSolver solver(eval, opts);
-    const auto result =
-        solver.run_chain(TieringPlan::uniform(4, StorageTier::kPersistentSsd), 9);
+    const auto result = solver.solve(TieringPlan::uniform(4, StorageTier::kPersistentSsd));
     EXPECT_EQ(result.infeasible_neighbors, 0);
-    EXPECT_EQ(result.iterations, opts.iter_max);
+    EXPECT_EQ(result.iterations, opts.chains * opts.iter_max);
     EXPECT_TRUE(result.evaluation.feasible);
 }
 
@@ -335,22 +379,23 @@ TEST(AnnealingMoves, ChangedListMatchesActualPlanDiff) {
     PlanEvaluator eval(testing::small_models(), mixed_workload());
     AnnealingSolver solver(eval, AnnealingOptions{});
     const auto units = solver.move_units();
-    TieringPlan curr = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
+    SoaWalk walk(eval, TieringPlan::uniform(6, StorageTier::kPersistentSsd));
     Rng rng(31);
     std::vector<std::size_t> changed;
     for (int i = 0; i < 500; ++i) {
-        const TieringPlan next = solver.propose_neighbor(rng, curr, units, changed);
+        const std::vector<PlacementDecision> before = walk.decisions();
+        solver.propose_neighbor(rng, walk.soa, walk.state, units, changed);
         std::vector<std::size_t> diff;
-        for (std::size_t j = 0; j < curr.size(); ++j) {
-            if (curr.decision(j).tier != next.decision(j).tier ||
-                curr.decision(j).overprovision != next.decision(j).overprovision) {
+        for (std::size_t j = 0; j < before.size(); ++j) {
+            if (before[j].tier != walk.decisions()[j].tier ||
+                before[j].overprovision != walk.decisions()[j].overprovision) {
                 diff.push_back(j);
             }
         }
         std::vector<std::size_t> sorted = changed;
         std::sort(sorted.begin(), sorted.end());
         EXPECT_EQ(sorted, diff) << "proposal " << i;
-        curr = next;
+        walk.settle(changed);
     }
 }
 
@@ -364,48 +409,21 @@ TEST(AnnealingCounters, SolveAggregatesAcrossChains) {
     opts.iter_max = 1000;
     opts.chains = 3;
     opts.seed = 17;
-    // This test reconstructs solve()'s counters by re-running the legacy
-    // independent chains by hand, so it must pin the legacy path: under
-    // replica exchange the per-chain trajectories are intentionally
-    // different (tempering determinism is covered by tempering_test.cpp).
-    opts.tempering = false;
     AnnealingSolver solver(eval, opts);
-    const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    const auto result = solver.solve(init);
+    const auto result = solver.solve(TieringPlan::uniform(6, StorageTier::kPersistentSsd));
 
-    // iterations: every chain runs iter_max neighbors.
-    EXPECT_EQ(result.iterations, 3 * opts.iter_max);
+    // iterations: every replica runs iter_max neighbors, and the solve
+    // total is the sum of the per-replica counts.
+    int replica_sum = 0;
+    for (const int n : result.tempering.replica_iterations) replica_sum += n;
+    ASSERT_EQ(result.tempering.replica_iterations.size(), 3u);
+    EXPECT_EQ(result.iterations, replica_sum);
+    EXPECT_EQ(result.iterations, opts.chains * opts.iter_max);
     EXPECT_GE(result.best_chain, 0);
     EXPECT_LT(result.best_chain, 3);
+    EXPECT_GT(result.accepted_moves, 0);
+    EXPECT_LE(result.accepted_moves + result.infeasible_neighbors, result.iterations);
     EXPECT_GT(result.cache_stats.lookups(), 0u);
-
-    // accepted_moves/infeasible_neighbors: the sum over the same chains run
-    // individually (counters are cache-independent — the search trajectory
-    // is bit-identical either way).
-    const TieringPlan uniform_init = init;  // chains rotate over diverse starts
-    std::vector<TieringPlan> starts{uniform_init};
-    for (StorageTier t : cloud::kAllTiers) {
-        TieringPlan u = TieringPlan::uniform(6, t);
-        if (eval.evaluate(u).feasible) starts.push_back(std::move(u));
-    }
-    int accepted = 0;
-    int infeasible = 0;
-    double best_utility = -1.0;
-    int best_chain = 0;
-    for (std::size_t c = 0; c < 3; ++c) {
-        const auto r =
-            solver.run_chain(starts[c % starts.size()], opts.seed + 7919 * (c + 1));
-        accepted += r.accepted_moves;
-        infeasible += r.infeasible_neighbors;
-        if (r.evaluation.utility > best_utility) {
-            best_utility = r.evaluation.utility;
-            best_chain = static_cast<int>(c);
-        }
-    }
-    EXPECT_EQ(result.accepted_moves, accepted);
-    EXPECT_EQ(result.infeasible_neighbors, infeasible);
-    EXPECT_EQ(result.best_chain, best_chain);
-    EXPECT_EQ(result.evaluation.utility, best_utility);
 }
 
 TEST(WorkflowCounters, SolveAggregatesAcrossChains) {

@@ -1,9 +1,9 @@
-// Replica-exchange tempering: schedule arithmetic, SoA-vs-AoS golden
-// equality, and the headline determinism claim — a tempered solve is
-// bit-identical (exact double equality, not tolerance) at ANY worker
-// count, because every (replica, round) segment draws from a seed that is
-// a pure function of its coordinates and exchanges happen only at round
-// barriers on the calling thread.
+// Replica-exchange tempering: schedule arithmetic, the one-rung ladder a
+// single chain runs on, and the headline determinism claim — a tempered
+// solve is bit-identical (exact double equality, not tolerance) at ANY
+// worker count, because every (replica, round) segment draws from a seed
+// that is a pure function of its coordinates and exchanges happen only at
+// round barriers on the calling thread.
 #include "core/tempering.hpp"
 
 #include <gtest/gtest.h>
@@ -53,7 +53,8 @@ void expect_same_plan(const TieringPlan& a, const TieringPlan& b) {
 // ---------------------------------------------------------------------------
 
 TEST(TemperingSchedule, RoundBoundariesClampToIterMax) {
-    const TemperingSchedule sched(1000, 256, 4);
+    static_assert(kExchangeStride == 256);
+    const TemperingSchedule sched(1000, 4);
     EXPECT_EQ(sched.rounds(), 4);
     EXPECT_EQ(sched.replicas(), 4);
     EXPECT_EQ(sched.round_begin(0), 0);
@@ -61,11 +62,11 @@ TEST(TemperingSchedule, RoundBoundariesClampToIterMax) {
     EXPECT_EQ(sched.round_begin(3), 768);
     EXPECT_EQ(sched.round_end(3), 1000);  // short last round
 
-    const TemperingSchedule exact(1024, 256, 2);
+    const TemperingSchedule exact(1024, 2);
     EXPECT_EQ(exact.rounds(), 4);
     EXPECT_EQ(exact.round_end(3), 1024);
 
-    const TemperingSchedule tiny(10, 256, 2);
+    const TemperingSchedule tiny(10, 2);
     EXPECT_EQ(tiny.rounds(), 1);
     EXPECT_EQ(tiny.round_end(0), 10);
 }
@@ -108,58 +109,77 @@ TEST(TemperingSchedule, ExchangeAcceptMatchesMetropolisRule) {
 }
 
 // ---------------------------------------------------------------------------
-// SoA core vs AoS evaluator: one trajectory, two executions.
+// One chain is a one-rung ladder: the same rounds and per-segment seeds, no
+// exchanges, and the same worker-count independence.
 // ---------------------------------------------------------------------------
 
-TEST(SoaGolden, ChainTrajectoryBitIdenticalToAos) {
+TEST(OneRungLadder, BatchSolveRunsOneReplicaWithoutExchanges) {
     const PlanEvaluator eval(testing::small_models(), mixed_workload());
     AnnealingOptions opts;
-    opts.iter_max = 1500;
-    opts.seed = 11;
-
-    AnnealingOptions aos = opts;
-    aos.use_soa_evaluation = false;
-    AnnealingOptions soa = opts;
-    soa.use_soa_evaluation = true;
-
+    opts.iter_max = 1000;  // not a multiple of the stride: short last round
+    opts.chains = 1;
+    opts.seed = 3;
+    const AnnealingSolver solver(eval, opts);
     const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    for (const std::uint64_t seed : {1ULL, 42ULL, 7919ULL}) {
-        EvalCache cache_a;
-        EvalCache cache_b;
-        const auto ra = AnnealingSolver(eval, aos).run_chain(init, seed, &cache_a);
-        const auto rb = AnnealingSolver(eval, soa).run_chain(init, seed, &cache_b);
-        EXPECT_EQ(ra.evaluation.utility, rb.evaluation.utility) << "seed " << seed;
-        EXPECT_EQ(ra.evaluation.total_runtime.value(), rb.evaluation.total_runtime.value());
-        EXPECT_EQ(ra.evaluation.vm_cost.value(), rb.evaluation.vm_cost.value());
-        EXPECT_EQ(ra.evaluation.storage_cost.value(), rb.evaluation.storage_cost.value());
-        EXPECT_EQ(ra.iterations, rb.iterations);
-        EXPECT_EQ(ra.accepted_moves, rb.accepted_moves);
-        EXPECT_EQ(ra.infeasible_neighbors, rb.infeasible_neighbors);
-        expect_same_plan(ra.plan, rb.plan);
+
+    const auto serial = solver.solve(init);
+    ASSERT_TRUE(serial.evaluation.feasible);
+    EXPECT_EQ(serial.tempering.replicas, 1);
+    EXPECT_EQ(serial.tempering.rounds, 4);  // ceil(1000 / 256)
+    EXPECT_EQ(serial.tempering.total_attempts(), 0u);
+    EXPECT_TRUE(serial.tempering.exchange_attempts.empty());
+    EXPECT_EQ(serial.tempering.replica_iterations, std::vector<int>{opts.iter_max});
+    EXPECT_EQ(serial.iterations, opts.iter_max);
+    EXPECT_EQ(serial.best_chain, 0);
+
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        ThreadPool pool(workers);
+        const auto pooled = solver.solve(init, &pool);
+        EXPECT_EQ(pooled.evaluation.utility, serial.evaluation.utility)
+            << workers << " workers";
+        EXPECT_EQ(pooled.evaluation.total_runtime.value(),
+                  serial.evaluation.total_runtime.value());
+        EXPECT_EQ(pooled.accepted_moves, serial.accepted_moves);
+        EXPECT_EQ(pooled.infeasible_neighbors, serial.infeasible_neighbors);
+        EXPECT_EQ(pooled.tempering.rounds, serial.tempering.rounds);
+        expect_same_plan(pooled.plan, serial.plan);
     }
 }
 
-TEST(SoaGolden, SolveBitIdenticalToAosUnderTempering) {
-    const PlanEvaluator eval(testing::small_models(), mixed_workload());
+TEST(OneRungLadder, WorkflowSolveRunsOneReplicaWithoutExchanges) {
+    const workload::Workflow wf = workload::make_search_log_workflow(Seconds{1e6});
+    const WorkflowEvaluator eval(testing::small_models(), wf);
     AnnealingOptions opts;
-    opts.iter_max = 800;
-    opts.chains = 4;
-    opts.seed = 23;
+    opts.iter_max = 600;
+    opts.chains = 1;
+    opts.seed = 4;
+    const WorkflowSolver solver(eval, opts);
 
-    AnnealingOptions aos = opts;
-    aos.use_soa_evaluation = false;
-    AnnealingOptions soa = opts;
-    soa.use_soa_evaluation = true;
+    const auto serial = solver.solve();
+    ASSERT_TRUE(serial.evaluation.feasible);
+    EXPECT_EQ(serial.tempering.replicas, 1);
+    EXPECT_EQ(serial.tempering.rounds, 3);  // ceil(600 / 256)
+    EXPECT_EQ(serial.tempering.total_attempts(), 0u);
+    EXPECT_TRUE(serial.tempering.exchange_attempts.empty());
+    EXPECT_EQ(serial.iterations, opts.iter_max);
 
-    const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    const auto ra = AnnealingSolver(eval, aos).solve(init);
-    const auto rb = AnnealingSolver(eval, soa).solve(init);
-    EXPECT_EQ(ra.evaluation.utility, rb.evaluation.utility);
-    EXPECT_EQ(ra.best_chain, rb.best_chain);
-    EXPECT_EQ(ra.accepted_moves, rb.accepted_moves);
-    EXPECT_EQ(ra.infeasible_neighbors, rb.infeasible_neighbors);
-    EXPECT_EQ(ra.tempering.exchange_accepts, rb.tempering.exchange_accepts);
-    expect_same_plan(ra.plan, rb.plan);
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+        ThreadPool pool(workers);
+        const auto pooled = solver.solve(&pool);
+        EXPECT_EQ(pooled.evaluation.total_cost().value(),
+                  serial.evaluation.total_cost().value())
+            << workers << " workers";
+        EXPECT_EQ(pooled.evaluation.total_runtime.value(),
+                  serial.evaluation.total_runtime.value());
+        EXPECT_EQ(pooled.best_chain, serial.best_chain);
+        EXPECT_EQ(pooled.iterations, serial.iterations);
+        ASSERT_EQ(pooled.plan.decisions.size(), serial.plan.decisions.size());
+        for (std::size_t i = 0; i < serial.plan.decisions.size(); ++i) {
+            EXPECT_EQ(pooled.plan.decisions[i].tier, serial.plan.decisions[i].tier);
+            EXPECT_EQ(pooled.plan.decisions[i].overprovision,
+                      serial.plan.decisions[i].overprovision);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +258,7 @@ TEST(TemperingDeterminism, WorkflowSolveBitIdenticalAcrossWorkerCounts) {
 }
 
 TEST(TemperingDeterminism, TemperedSolveNeverLosesToItsStart) {
-    // The explicit best-start floor in solve_tempering: whatever the
+    // The explicit best-start floor in solve(): whatever the
     // exchanges do, the answer can only improve on the best start plan.
     const PlanEvaluator eval(testing::small_models(), mixed_workload());
     AnnealingOptions opts;
@@ -250,20 +270,6 @@ TEST(TemperingDeterminism, TemperedSolveNeverLosesToItsStart) {
     ASSERT_TRUE(base.feasible);
     const auto result = solver.solve(init);
     EXPECT_GE(result.evaluation.utility, base.utility);
-}
-
-TEST(TemperingDeterminism, LegacyPathStillAvailableAndDistinctlyReported) {
-    const PlanEvaluator eval(testing::small_models(), mixed_workload());
-    AnnealingOptions opts;
-    opts.iter_max = 400;
-    opts.chains = 3;
-    opts.tempering = false;
-    const AnnealingSolver solver(eval, opts);
-    const TieringPlan init = TieringPlan::uniform(6, StorageTier::kPersistentSsd);
-    const auto result = solver.solve(init);
-    ASSERT_TRUE(result.evaluation.feasible);
-    EXPECT_FALSE(result.tempering.enabled());
-    EXPECT_EQ(result.tempering.replicas, 0);
 }
 
 // ---------------------------------------------------------------------------

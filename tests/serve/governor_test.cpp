@@ -325,6 +325,11 @@ TEST(GovernedSolveDirect, TrimmedLevelEqualsManuallyTrimmedBudgets) {
         *snapshot, req, governed, nullptr, DegradationLevel::kTrimmed);
     ASSERT_TRUE(trimmed.ok()) << trimmed.error;
     EXPECT_EQ(trimmed.degradation_level, DegradationLevel::kTrimmed);
+    // Trimming halves two replicas to one: a one-rung ladder, not a
+    // different search path.
+    ASSERT_TRUE(trimmed.batch.has_value());
+    EXPECT_EQ(trimmed.batch->tempering.replicas, 1);
+    EXPECT_EQ(trimmed.batch->tempering.total_attempts(), 0u);
 
     ServiceOptions by_hand = fast_options(1);
     by_hand.solver.annealing.iter_max = std::max(

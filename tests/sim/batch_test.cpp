@@ -1,7 +1,7 @@
 // BatchRunner determinism contract: outcomes are written by configuration
 // index and every random stream derives from per-config seeds, so a batch
 // is bit-identical (exact double equality, fault stats included) no matter
-// how many workers run it or whether the per-thread scratch is reused.
+// how many workers run it.
 #include "sim/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -113,20 +113,6 @@ TEST(BatchRunner, FaultProfileBatchBitIdenticalAcrossWorkerCounts) {
     ThreadPool eight(8);
     expect_bit_identical(serial, runner.run(configs, &two));
     expect_bit_identical(serial, runner.run(configs, &eight));
-}
-
-TEST(BatchRunner, ScratchReuseOnOffIsBitIdentical) {
-    const auto cluster = cloud::ClusterSpec::paper_10_node();
-    const auto catalog = cloud::StorageCatalog::google_cloud();
-    const BatchRunner runner(cluster, catalog);
-    const std::vector<BatchConfig> configs = mixed_configs(/*with_faults=*/true);
-
-    ASSERT_TRUE(scratch_reuse_enabled());
-    const auto reused = runner.run(configs);
-    set_scratch_reuse(false);
-    const auto fresh = runner.run(configs);
-    set_scratch_reuse(true);
-    expect_bit_identical(reused, fresh);
 }
 
 TEST(BatchRunner, SimulationErrorIsCapturedPerConfigWithoutAbortingBatch) {

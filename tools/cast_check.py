@@ -38,10 +38,11 @@ Rules (stable IDs, mirrored in DESIGN.md):
         telemetry belongs in obs::MetricsRegistry / obs::TraceRing)
   C011  node-based containers (std::map / std::unordered_map / std::set /
         std::unordered_set / std::multimap / std::multiset) in the solver
-        hot-path files (annealing.cpp, utility.cpp, soa_eval.cpp — the
-        SoA discipline from PR 9: per-iteration state lives in flat
-        arrays; the sharded memo table in eval_cache.cpp is the one
-        sanctioned exception and is scoped out by file)
+        hot-path files (annealing.cpp, utility.cpp, soa_eval.cpp and the
+        replica-exchange loop tempering.hpp — the SoA discipline:
+        per-iteration state lives in flat arrays; the sharded memo table
+        in eval_cache.cpp is the one sanctioned exception and is scoped
+        out by file)
 
 Implementation is a libclang/regex hybrid: when python bindings for
 libclang are importable they refine C006 (true declaration parsing);
@@ -73,7 +74,7 @@ HOT_PATH_BASENAMES = ("flow_engine.hpp", "phase_runner.hpp", "mapreduce.cpp")
 # The SoA solver hot path (C011): no node-based containers per iteration.
 # eval_cache.cpp is deliberately absent — its sharded map interiors are the
 # sanctioned memoization structure.
-SOLVER_HOT_BASENAMES = ("annealing.cpp", "utility.cpp", "soa_eval.cpp")
+SOLVER_HOT_BASENAMES = ("annealing.cpp", "utility.cpp", "soa_eval.cpp", "tempering.hpp")
 
 NO_TSA_BUDGET = 3
 
