@@ -163,12 +163,11 @@ int main(int argc, char** argv) {
     sopts.max_batch = 32;
     sopts.solver.annealing.iter_max = iter_max;
     sopts.solver.annealing.chains = 2;
-    // Metrics + tracing stay ON for every service run: the numbers this
-    // bench commits (and bench_gate compares) are for the instrumented
-    // service, so the observability overhead is itself under the perf gate,
-    // and the bit-identity check below proves observation never perturbs
-    // the plans.
-    sopts.obs.metrics = true;
+    // Tracing stays ON for every service run (the metrics registry is
+    // always on): the numbers this bench commits (and bench_gate compares)
+    // are for the observed service, so the observability overhead is itself
+    // under the perf gate, and the bit-identity check below proves
+    // observation never perturbs the plans.
     sopts.obs.trace_capacity = 64;
 
     // --- Cold serial baseline: the one-shot pipeline, once per request.

@@ -37,8 +37,9 @@
 // one (each value is a single atomic).
 //
 // Observation must never perturb results: nothing in this header touches
-// solver state, seeds, or scheduling — the serve golden tests prove a
-// metrics-on run is bit-identical to a metrics-off run.
+// solver state, seeds, or scheduling — the serve golden tests prove every
+// service response bit-identical to PlannerService::solve_direct, the
+// path with no registry.
 #pragma once
 
 #include <atomic>

@@ -54,10 +54,10 @@ const char* priority_name(Priority priority) {
     return "unknown";
 }
 
-/// One instrument per ServiceStats atomic, resolved once at construction so
-/// the hot path touches pre-cached references only. The counters mirror the
-/// atomics one-for-one (incremented at the same sites), which is what lets
-/// the obs integration test assert exact agreement between the two views.
+/// Every serve-layer instrument, resolved once at construction so the
+/// request path touches cached references only: no registry mutex, no
+/// allocation, no name lookup. The counters are the service's only event
+/// counts; stats() reads them back into ServiceStats.
 struct PlannerService::Instruments {
     obs::Counter& submitted;
     obs::Counter& completed;
@@ -82,20 +82,20 @@ struct PlannerService::Instruments {
     obs::Histogram& solve_ms;
     /// Solves answered by the replica-exchange path (replicas > 0).
     obs::Counter& tempering_solves;
-    /// Incremental re-planning instruments, incremented at the same sites
-    /// as the amend_* ServiceStats atomics.
+    /// Incremental re-planning: amends that returned a plan, and how.
     obs::Counter& amends;
     obs::Counter& amend_escalations;
     obs::Counter& amend_greedy;
     /// Restricted-neighborhood size per amend (the knob the ladder shrinks).
     obs::Histogram& amend_neighborhood;
-    /// Registry handle for the per-rung/per-replica tempering instruments:
-    /// their cardinality is the request's replica count, unknown at
-    /// construction, so record_tempering() resolves them by name once per
-    /// solve (one mutex+map hit per solve, nothing in the iteration loop).
-    obs::MetricsRegistry& registry;
+    obs::Gauge& amend_cache_hit_rate;
+    /// Per-rung exchange counters (replicas - 1 rungs) and per-replica
+    /// throughput gauges, sized for the largest ladder any request can run.
+    std::vector<obs::Counter*> exchanges_attempted;
+    std::vector<obs::Counter*> exchanges_accepted;
+    std::vector<obs::Gauge*> replica_iters_per_sec;
 
-    explicit Instruments(obs::MetricsRegistry& reg)
+    Instruments(obs::MetricsRegistry& reg, std::size_t max_replicas)
         : submitted(reg.counter("serve.requests.submitted")),
           completed(reg.counter("serve.requests.completed")),
           rejected(reg.counter("serve.requests.rejected")),
@@ -120,7 +120,19 @@ struct PlannerService::Instruments {
           amend_escalations(reg.counter("solver.incremental.escalations")),
           amend_greedy(reg.counter("solver.incremental.greedy_amends")),
           amend_neighborhood(reg.histogram("solver.incremental.neighborhood_jobs")),
-          registry(reg) {}
+          amend_cache_hit_rate(reg.gauge("solver.incremental.amend_cache_hit_rate")) {
+        for (std::size_t k = 0; k + 1 < max_replicas; ++k) {
+            const std::string rung = ".rung" + std::to_string(k);
+            exchanges_attempted.push_back(
+                &reg.counter("solver.tempering.exchanges_attempted" + rung));
+            exchanges_accepted.push_back(
+                &reg.counter("solver.tempering.exchanges_accepted" + rung));
+        }
+        for (std::size_t r = 0; r < max_replicas; ++r) {
+            replica_iters_per_sec.push_back(
+                &reg.gauge("solver.tempering.replica_iters_per_sec.r" + std::to_string(r)));
+        }
+    }
 
     /// Fold one amend's statistics into the registry. The hit-rate gauge
     /// reflects the shared cache as of the most recent amend — the warm-
@@ -130,8 +142,7 @@ struct PlannerService::Instruments {
         if (result.escalated_cold) amend_escalations.add();
         if (result.greedy_only) amend_greedy.add();
         amend_neighborhood.observe(static_cast<double>(result.neighborhood.size()));
-        registry.gauge("solver.incremental.amend_cache_hit_rate")
-            .set(result.cache_stats.hit_rate());
+        amend_cache_hit_rate.set(result.cache_stats.hit_rate());
     }
 
     /// Fold one solve's replica-exchange statistics into the registry:
@@ -140,19 +151,19 @@ struct PlannerService::Instruments {
     /// recent solve (gauges). No-op for greedy-only results.
     void record_tempering(const core::TemperingStats& stats, double ms) {
         if (!stats.enabled()) return;
+        CAST_ENSURES_MSG(
+            static_cast<std::size_t>(stats.replicas) <= replica_iters_per_sec.size(),
+            "a solve ran more replicas than the service's chain options allow");
         tempering_solves.add();
         for (std::size_t k = 0; k < stats.exchange_attempts.size(); ++k) {
-            const std::string rung = ".rung" + std::to_string(k);
-            registry.counter("solver.tempering.exchanges_attempted" + rung)
-                .add(stats.exchange_attempts[k]);
-            registry.counter("solver.tempering.exchanges_accepted" + rung)
-                .add(stats.exchange_accepts[k]);
+            exchanges_attempted[k]->add(stats.exchange_attempts[k]);
+            exchanges_accepted[k]->add(stats.exchange_accepts[k]);
         }
         const double secs = ms / 1000.0;
         if (secs <= 0.0) return;
         for (std::size_t r = 0; r < stats.replica_iterations.size(); ++r) {
-            registry.gauge("solver.tempering.replica_iters_per_sec.r" + std::to_string(r))
-                .set(static_cast<double>(stats.replica_iterations[r]) / secs);
+            replica_iters_per_sec[r]->set(static_cast<double>(stats.replica_iterations[r]) /
+                                          secs);
         }
     }
 
@@ -170,6 +181,11 @@ PlannerService::PlannerService(SnapshotPtr snapshot, ServiceOptions options)
     : options_(std::move(options)),
       snapshot_(std::move(snapshot)),
       trace_(options_.obs.trace_capacity),
+      // Requests never raise chains and the governor's trimmed rung only
+      // halves it, so these two options bound every ladder a solve runs.
+      inst_(std::make_unique<Instruments>(
+          metrics_, static_cast<std::size_t>(std::max(
+                        {1, options_.solver.annealing.chains, options_.amend.chains})))),
       queue_(options_.queue_capacity, 3),
       pool_(options_.workers),
       governor_(options_.governor, std::max<std::size_t>(std::size_t{1}, options_.workers),
@@ -179,12 +195,8 @@ PlannerService::PlannerService(SnapshotPtr snapshot, ServiceOptions options)
     CAST_EXPECTS_MSG(snapshot_ != nullptr, "PlannerService needs a snapshot");
     CAST_EXPECTS(options_.max_batch >= 1);
     CAST_EXPECTS(options_.default_max_wall_ms >= 0.0);
-    // Instruments and gauges must exist before the dispatcher can run a
-    // single request; inst_ is immutable from here on.
-    if (options_.obs.metrics) {
-        inst_ = std::make_unique<Instruments>(metrics_);
-        register_gauges();
-    }
+    // Gauges must exist before the dispatcher can run a single request.
+    register_gauges();
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -223,7 +235,8 @@ void PlannerService::register_gauges() {
         return static_cast<double>(snapshot()->cache().stats().inserts);
     });
     metrics_.gauge_fn("serve.breakers.open", [this] { return open_breaker_count(); });
-    metrics_.gauge_fn("serve.breakers.trips", [this] { return total_breaker_trips(); });
+    metrics_.gauge_fn("serve.breakers.trips",
+                      [this] { return static_cast<double>(total_breaker_trips()); });
 }
 
 double PlannerService::open_breaker_count() const {
@@ -237,11 +250,11 @@ double PlannerService::open_breaker_count() const {
     return open;
 }
 
-double PlannerService::total_breaker_trips() const {
+std::uint64_t PlannerService::total_breaker_trips() const {
     LockGuard lock(breaker_mutex_);
     std::uint64_t trips = evicted_breaker_trips_ + swap_breaker_.trips();
     for (const auto& [key, breaker] : breakers_) trips += breaker->trips();
-    return static_cast<double>(trips);
+    return trips;
 }
 
 void PlannerService::trace_response(
@@ -275,8 +288,7 @@ void PlannerService::trace_response(
 }
 
 std::future<PlanResponse> PlannerService::submit(PlanRequest request) {
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    if (inst_) inst_->submitted.add();
+    inst_->submitted.add();
 
     // Deadline-aware admission: with queue pressure P requests deep and an
     // EWMA solve latency of E ms, a new request waits ~ P*E/workers before
@@ -287,12 +299,8 @@ std::future<PlanResponse> PlannerService::submit(PlanRequest request) {
         request.deadline_ms > 0.0 &&
         governor_.provably_late(request.deadline_ms, queue_.size(),
                                 in_flight_.load(std::memory_order_relaxed))) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-        if (inst_) {
-            inst_->rejected.add();
-            inst_->shed_deadline.add();
-        }
+        inst_->rejected.add();
+        inst_->shed_deadline.add();
         PlanResponse resp = shed_response(
             request, 0, "deadline shed: predicted queue wait exceeds deadline-ms");
         trace_response(request, resp, std::chrono::steady_clock::now(), std::nullopt,
@@ -313,8 +321,7 @@ std::future<PlanResponse> PlannerService::submit(PlanRequest request) {
     std::future<PlanResponse> fut = pending->promise.get_future();
     if (queue_.try_push(std::move(pending), level)) return fut;
 
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    if (inst_) inst_->rejected.add();
+    inst_->rejected.add();
     PlanResponse resp;
     resp.id = id;
     resp.kind = kind;
@@ -352,8 +359,7 @@ void PlannerService::swap_snapshot(SnapshotPtr next) {
             any_swap_ = true;
         }
     }
-    swaps_.fetch_add(1, std::memory_order_relaxed);
-    if (inst_) inst_->swaps.add();
+    inst_->swaps.add();
 
     // Swap-storm guard: back-to-back swaps each clearing the outgoing cache
     // serialize every in-flight solve against a cold memo table. The clear
@@ -362,8 +368,7 @@ void PlannerService::swap_snapshot(SnapshotPtr next) {
     // either way) — so while the breaker says "storm", skip it.
     if (governor_.enabled()) {
         if (!swap_breaker_.allow()) {
-            swap_clears_suppressed_.fetch_add(1, std::memory_order_relaxed);
-            if (inst_) inst_->swap_clears_suppressed.add();
+            inst_->swap_clears_suppressed.add();
             return;
         }
         if (storm_sample) {
@@ -389,29 +394,25 @@ void PlannerService::cancel_inflight() { cancel_.request_stop(); }
 
 ServiceStats PlannerService::stats() const {
     ServiceStats s;
-    s.submitted = submitted_.load(std::memory_order_relaxed);
-    s.completed = completed_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
-    s.errors = errors_.load(std::memory_order_relaxed);
-    s.batches = batches_.load(std::memory_order_relaxed);
-    s.coalesced = coalesced_.load(std::memory_order_relaxed);
-    s.snapshot_swaps = swaps_.load(std::memory_order_relaxed);
-    s.served_full = served_full_.load(std::memory_order_relaxed);
-    s.served_trimmed = served_trimmed_.load(std::memory_order_relaxed);
-    s.served_greedy = served_greedy_.load(std::memory_order_relaxed);
-    s.governor_shed = governor_shed_.load(std::memory_order_relaxed);
-    s.deadline_shed = deadline_shed_.load(std::memory_order_relaxed);
-    s.amend_requests = amend_requests_.load(std::memory_order_relaxed);
-    s.amend_escalations = amend_escalations_.load(std::memory_order_relaxed);
-    s.amend_greedy = amend_greedy_.load(std::memory_order_relaxed);
-    s.solve_retries = solve_retries_.load(std::memory_order_relaxed);
-    s.breaker_fastfail = breaker_fastfail_.load(std::memory_order_relaxed);
-    s.swap_clears_suppressed = swap_clears_suppressed_.load(std::memory_order_relaxed);
-    {
-        LockGuard lock(breaker_mutex_);
-        s.breaker_trips = evicted_breaker_trips_ + swap_breaker_.trips();
-        for (const auto& [key, breaker] : breakers_) s.breaker_trips += breaker->trips();
-    }
+    s.submitted = inst_->submitted.value();
+    s.completed = inst_->completed.value();
+    s.rejected = inst_->rejected.value();
+    s.errors = inst_->errors.value();
+    s.batches = inst_->batches.value();
+    s.coalesced = inst_->coalesced.value();
+    s.snapshot_swaps = inst_->swaps.value();
+    s.served_full = inst_->served_full.value();
+    s.served_trimmed = inst_->served_trimmed.value();
+    s.served_greedy = inst_->served_greedy.value();
+    s.governor_shed = inst_->shed_overload.value();
+    s.deadline_shed = inst_->shed_deadline.value();
+    s.amend_requests = inst_->amends.value();
+    s.amend_escalations = inst_->amend_escalations.value();
+    s.amend_greedy = inst_->amend_greedy.value();
+    s.solve_retries = inst_->retries.value();
+    s.breaker_fastfail = inst_->breaker_fastfail.value();
+    s.swap_clears_suppressed = inst_->swap_clears_suppressed.value();
+    s.breaker_trips = total_breaker_trips();
     s.ewma_solve_ms = governor_.ewma_solve_ms();
     s.ewma_seeded = governor_.ewma_seeded();
     s.cache = snapshot()->cache().stats();
@@ -424,8 +425,7 @@ void PlannerService::dispatcher_loop() {
     for (;;) {
         batch.clear();
         if (queue_.pop_batch(batch, options_.max_batch) == 0) return;  // closed + drained
-        batches_.fetch_add(1, std::memory_order_relaxed);
-        if (inst_) inst_->batches.add();
+        inst_->batches.add();
         dispatch_batch(batch);
     }
 }
@@ -434,23 +434,16 @@ void PlannerService::fulfill(Pending& pending, PlanResponse&& resp) {
     if (resp.status == ResponseStatus::kRejected) {
         // A dispatch-time shed is backpressure, not completed work — same
         // accounting as a queue-full rejection at submit.
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        if (inst_) inst_->rejected.add();
+        inst_->rejected.add();
     } else {
-        if (resp.status == ResponseStatus::kError) {
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            if (inst_) inst_->errors.add();
-        }
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        if (inst_) {
-            inst_->completed.add();
-            if (resp.ok()) {
-                // End-to-end latency by priority; solve time only for the
-                // representative (a coalesced copy shared its rep's solve).
-                inst_->latency_for(pending.request.priority)
-                    .observe(resp.queue_ms + resp.solve_ms);
-                if (!resp.coalesced) inst_->solve_ms.observe(resp.solve_ms);
-            }
+        if (resp.status == ResponseStatus::kError) inst_->errors.add();
+        inst_->completed.add();
+        if (resp.ok()) {
+            // End-to-end latency by priority; solve time only for the
+            // representative (a coalesced copy shared its rep's solve).
+            inst_->latency_for(pending.request.priority)
+                .observe(resp.queue_ms + resp.solve_ms);
+            if (!resp.coalesced) inst_->solve_ms.observe(resp.solve_ms);
         }
     }
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
@@ -520,7 +513,7 @@ void PlannerService::dispatch_batch(std::vector<std::unique_ptr<Pending>>& batch
             const auto solved_at = std::chrono::steady_clock::now();
             resp.queue_ms = waited_ms;
             resp.solve_ms = ms_between(start, solved_at);
-            if (inst_ && resp.ok()) {
+            if (resp.ok()) {
                 if (resp.batch) inst_->record_tempering(resp.batch->tempering, resp.solve_ms);
                 if (resp.workflow) {
                     inst_->record_tempering(resp.workflow->tempering, resp.solve_ms);
@@ -530,12 +523,10 @@ void PlannerService::dispatch_batch(std::vector<std::unique_ptr<Pending>>& batch
             auto count_outcome = [&](const PlanResponse& out) {
                 switch (shed) {
                     case Shed::kDeadline:
-                        deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->shed_deadline.add();
+                        inst_->shed_deadline.add();
                         return;
                     case Shed::kGovernor:
-                        governor_shed_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->shed_overload.add();
+                        inst_->shed_overload.add();
                         return;
                     case Shed::kNone:
                         break;
@@ -543,16 +534,13 @@ void PlannerService::dispatch_batch(std::vector<std::unique_ptr<Pending>>& batch
                 if (!out.ok()) return;
                 switch (out.degradation_level) {
                     case DegradationLevel::kFull:
-                        served_full_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->served_full.add();
+                        inst_->served_full.add();
                         break;
                     case DegradationLevel::kTrimmed:
-                        served_trimmed_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->served_trimmed.add();
+                        inst_->served_trimmed.add();
                         break;
                     case DegradationLevel::kGreedy:
-                        served_greedy_.fetch_add(1, std::memory_order_relaxed);
-                        if (inst_) inst_->served_greedy.add();
+                        inst_->served_greedy.add();
                         break;
                     case DegradationLevel::kShed:
                         break;
@@ -572,8 +560,7 @@ void PlannerService::dispatch_batch(std::vector<std::unique_ptr<Pending>>& batch
                 share.coalesced = true;
                 share.queue_ms = ms_between(dup.enqueued, start);
                 count_outcome(share);
-                coalesced_.fetch_add(1, std::memory_order_relaxed);
-                if (inst_) inst_->coalesced.add();
+                inst_->coalesced.add();
                 trace_response(dup.request, share, dup.enqueued, start, std::nullopt,
                                "coalesced");
                 fulfill(dup, std::move(share));
@@ -617,8 +604,7 @@ PlanResponse PlannerService::solve_request(const PlanRequest& request, const Sna
     if (governed) {
         breaker = breaker_for(dedup_key(request));
         if (!breaker->allow()) {
-            breaker_fastfail_.fetch_add(1, std::memory_order_relaxed);
-            if (inst_) inst_->breaker_fastfail.add();
+            inst_->breaker_fastfail.add();
             PlanResponse resp;
             resp.id = request.id;
             resp.kind = request.kind;
@@ -634,8 +620,7 @@ PlanResponse PlannerService::solve_request(const PlanRequest& request, const Sna
     PlanResponse resp;
     for (int attempt = 0; attempt < max_attempts; ++attempt) {
         if (attempt > 0) {
-            solve_retries_.fetch_add(1, std::memory_order_relaxed);
-            if (inst_) inst_->retries.add();
+            inst_->retries.add();
             sleep_backoff_ms(options_.governor.retry.wait_ms(attempt - 1));
         }
         try {
@@ -789,10 +774,7 @@ PlanResponse PlannerService::amend_direct(const PlanRequest& request, const Snap
     const core::IncrementalSolver solver(snap.models(), opts, policy, entry->reuse_aware);
     core::AmendResult amended = solver.amend(entry->workload, entry->plan, *request.delta,
                                              /*pool=*/nullptr, &snap.cache());
-    amend_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (amended.escalated_cold) amend_escalations_.fetch_add(1, std::memory_order_relaxed);
-    if (amended.greedy_only) amend_greedy_.fetch_add(1, std::memory_order_relaxed);
-    if (inst_) inst_->record_amend(amended);
+    inst_->record_amend(amended);
 
     entry->workload = amended.workload;
     entry->plan = amended.plan;

@@ -141,14 +141,13 @@ struct PlanResponse {
     }
 };
 
-/// Observability switches. Both default off: an uninstrumented service
-/// spends zero cycles on metrics or tracing (every hook is behind a null
-/// check / enabled() test), and bit-identity to the pre-obs service is
-/// trivial. Turning them on adds relaxed atomic increments and one short
-/// ring-mutex critical section per request — the golden tests prove the
-/// solve output stays bit-identical either way.
+/// Observability switches. The metrics registry is always on (its
+/// counters are the service's only event counts, see ServiceStats), so
+/// tracing is the one opt-in: it adds one short ring-mutex critical
+/// section per request. Neither ever changes a solve bit.
 struct ObservabilityOptions {
-    /// Register the serve.* instruments and count/observe on every request.
+    /// No-op: nothing reads it. Kept only so the perfbench sources, which
+    /// assign it, still compile.
     bool metrics = false;
     /// Completed trace spans to ring-buffer; 0 disables tracing entirely.
     std::size_t trace_capacity = 0;
@@ -182,11 +181,12 @@ struct ServiceOptions {
     /// Serve-layer fault injection; the zero profile (default) injects
     /// nothing and is bit-identical to an uninstrumented service.
     ServeFaultProfile faults;
-    /// Metrics + tracing; defaults off (zero overhead, bit-identical).
+    /// Tracing (default off); the metrics registry needs no switch.
     ObservabilityOptions obs;
 };
 
-/// Monotonic service counters plus the live snapshot's cache statistics.
+/// The service's registry counters (serve.*, solver.incremental.*) read
+/// into one struct, plus the live snapshot's cache statistics.
 struct ServiceStats {
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
@@ -203,7 +203,7 @@ struct ServiceStats {
     std::uint64_t governor_shed = 0;   ///< load-shed at dispatch (ladder level 3)
     std::uint64_t deadline_shed = 0;   ///< provably-late drops (admission/dispatch)
     // Incremental re-planning counters (amend requests only).
-    std::uint64_t amend_requests = 0;     ///< amend solves that ran (ok or error)
+    std::uint64_t amend_requests = 0;     ///< amends that returned a plan
     std::uint64_t amend_escalations = 0;  ///< amends escalated to a full cold re-solve
     std::uint64_t amend_greedy = 0;       ///< amends served on the greedy-only rung
     // Fault-survival counters.
@@ -269,15 +269,11 @@ public:
     [[nodiscard]] std::optional<StoredPlanView> stored_plan(const std::string& handle) const
         CAST_EXCLUDES(store_mutex_);
 
-    /// The injector's view of what it has done so far.
-    [[nodiscard]] ServeFaultStats fault_stats() const { return injector_.stats(); }
-
-    /// The service's metrics registry. Always present; it only carries the
-    /// serve.* instruments when options().obs.metrics was set (exports are
-    /// empty otherwise). Pull gauges registered here read live service
-    /// state, so an export taken mid-burst shows the burst.
+    /// The service's metrics registry: every serve.* and solver.* instrument,
+    /// registered at construction (stats() reads the same counters). Pull
+    /// gauges registered here read live service state, so an export taken
+    /// mid-burst shows the burst.
     [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
-    [[nodiscard]] bool metrics_enabled() const { return inst_ != nullptr; }
 
     /// Buffered trace spans, oldest first (empty unless
     /// options().obs.trace_capacity > 0).
@@ -339,9 +335,8 @@ private:
     /// workload/workflow content (spec serialization + job names).
     [[nodiscard]] static std::string dedup_key(const PlanRequest& request);
 
-    /// Pre-resolved instrument references (counters mirroring the atomics
-    /// below one-for-one, per-priority latency histograms). Null unless
-    /// options_.obs.metrics — every hot-path hook is `if (inst_)`.
+    /// Pre-resolved instrument references: the event counters, latency
+    /// histograms, and the per-rung / per-replica tempering instruments.
     struct Instruments;
     /// Register the serve.* pull gauges (queue depth, in-flight, EWMA,
     /// cache stats, breaker states) against live service state. Called
@@ -349,7 +344,7 @@ private:
     void register_gauges();
     /// Breaker aggregates for the pull gauges.
     [[nodiscard]] double open_breaker_count() const CAST_EXCLUDES(breaker_mutex_);
-    [[nodiscard]] double total_breaker_trips() const CAST_EXCLUDES(breaker_mutex_);
+    [[nodiscard]] std::uint64_t total_breaker_trips() const CAST_EXCLUDES(breaker_mutex_);
     /// Push a span for one fulfilled response (no-op when tracing is off).
     /// `enqueued`/`dispatched` stamp the admit/dequeue events; `solved` is
     /// unset for sheds, which never reach a solver.
@@ -364,10 +359,11 @@ private:
     SnapshotPtr snapshot_ CAST_GUARDED_BY(snapshot_mutex_);
 
     /// Observability state. The registry/ring own their synchronization;
-    /// inst_ is written once in the constructor and read-only afterwards.
+    /// inst_ is resolved in the constructor, never null, and only read
+    /// afterwards.
     obs::MetricsRegistry metrics_;
     obs::TraceRing trace_;
-    std::unique_ptr<Instruments> inst_;
+    const std::unique_ptr<Instruments> inst_;
 
     BoundedPriorityQueue<std::unique_ptr<Pending>> queue_;
     ThreadPool pool_;
@@ -375,24 +371,6 @@ private:
     OverloadGovernor governor_;
     ServeFaultInjector injector_;
 
-    std::atomic<std::uint64_t> submitted_{0};
-    std::atomic<std::uint64_t> completed_{0};
-    std::atomic<std::uint64_t> rejected_{0};
-    std::atomic<std::uint64_t> errors_{0};
-    std::atomic<std::uint64_t> batches_{0};
-    std::atomic<std::uint64_t> coalesced_{0};
-    std::atomic<std::uint64_t> swaps_{0};
-    std::atomic<std::uint64_t> served_full_{0};
-    std::atomic<std::uint64_t> served_trimmed_{0};
-    std::atomic<std::uint64_t> served_greedy_{0};
-    std::atomic<std::uint64_t> governor_shed_{0};
-    std::atomic<std::uint64_t> deadline_shed_{0};
-    std::atomic<std::uint64_t> amend_requests_{0};
-    std::atomic<std::uint64_t> amend_escalations_{0};
-    std::atomic<std::uint64_t> amend_greedy_{0};
-    std::atomic<std::uint64_t> solve_retries_{0};
-    std::atomic<std::uint64_t> breaker_fastfail_{0};
-    std::atomic<std::uint64_t> swap_clears_suppressed_{0};
     /// Requests popped from the queue whose response is not yet fulfilled;
     /// feeds the governor's backlog estimate together with queue depth.
     std::atomic<std::size_t> in_flight_{0};

@@ -55,6 +55,7 @@ class RuleFiresExactlyWhereExpected(unittest.TestCase):
         "serve/adhoc_cerr.cpp": [("C010", 8), ("C010", 9)],
         "solver/annealing.cpp": [("C011", 12), ("C011", 13), ("C011", 14)],
         "solver/tempering.hpp": [("C011", 11)],
+        "serve/service.hpp": [("C012", 11), ("C012", 12)],
     }
 
     def test_each_rule_fires_at_expected_lines(self):
@@ -73,7 +74,7 @@ class RuleFiresExactlyWhereExpected(unittest.TestCase):
         covered = {rule for rules in self.EXPECTED.values() for rule, _ in rules}
         self.assertEqual(covered,
                          {"C001", "C002", "C003", "C004", "C005", "C006",
-                          "C007", "C008", "C009", "C010", "C011"})
+                          "C007", "C008", "C009", "C010", "C011", "C012"})
 
     def test_clean_fixture_reports_nothing(self):
         found, rc = findings_for(FIXTURES / "clean.cpp")

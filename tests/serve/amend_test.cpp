@@ -1,7 +1,7 @@
 // Amend requests through the PlannerService: the plan store (batch
 // handle= writes, amend advances), bit-identity to the direct
 // IncrementalSolver, line-of-duty error paths, the governor's greedy rung
-// mapping, and the solver.incremental.* instruments mirroring ServiceStats.
+// mapping, and the solver.incremental.* instruments ServiceStats reads.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -170,8 +170,11 @@ TEST(AmendService, UnknownHandleAndMissingDeltaAreErrors) {
     const PlanResponse missing = service.submit(no_delta).get();
     EXPECT_EQ(missing.status, ResponseStatus::kError);
 
+    // Neither amend reached the IncrementalSolver, so neither counts as an
+    // amend request.
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.errors, 2u);
+    EXPECT_EQ(stats.amend_requests, 0u);
 }
 
 TEST(AmendService, SolveDirectRejectsAmends) {
@@ -195,10 +198,8 @@ TEST(AmendService, ForcedEscalationCountsInStats) {
     EXPECT_EQ(stats.amend_escalations, 1u);
 }
 
-TEST(AmendService, MetricsMirrorAmendCounters) {
-    ServiceOptions opts = fast_options(2);
-    opts.obs.metrics = true;
-    PlannerService service(fresh_snapshot(), opts);
+TEST(AmendService, RegistryCarriesAmendCounters) {
+    PlannerService service(fresh_snapshot(), fast_options(2));
     ASSERT_TRUE(service.submit(batch_request(1, "live")).get().ok());
     ASSERT_TRUE(service.submit(amend_request(2, "live", arrival_delta())).get().ok());
     JobDelta next;
@@ -239,8 +240,11 @@ TEST(AmendService, AmendsNeverCoalesceEvenWhenIdentical) {
     EXPECT_FALSE(first_ok && second_ok);  // duplicate id rejected on replay
     EXPECT_FALSE(r1.coalesced);
     EXPECT_FALSE(r2.coalesced);
+    // The failed replay threw out of the amend, so only the applied amend
+    // counts.
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.coalesced, 0u);
+    EXPECT_EQ(stats.amend_requests, 1u);
 }
 
 }  // namespace

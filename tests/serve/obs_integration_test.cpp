@@ -1,9 +1,9 @@
-// Observability integration contract: instruments mirror ServiceStats
-// exactly (same atomic sites, so the totals agree to the bit even under a
-// full-intensity fault storm), the invariant completed + rejected ==
-// submitted holds with metrics on, trace spans record request lifecycles,
-// and — the load-bearing promise — turning observation on never changes a
-// single solver bit.
+// Observability integration contract: ServiceStats is a read of the
+// registry counters (so the two views agree exactly even under a
+// full-intensity fault storm), the pre-resolved tempering instruments
+// total what the responses report, the invariant completed + rejected ==
+// submitted holds, trace spans record request lifecycles, and — the
+// load-bearing promise — observation never changes a single solver bit.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -90,45 +90,49 @@ std::vector<PlanRequest> mixed_requests(std::uint64_t count) {
     return requests;
 }
 
-// The headline golden test: metrics + tracing on produces bit-identical
-// responses to the default-off configuration. Observation reads, never
-// steers.
+// The headline golden test: with tracing on or off, every service response
+// is bit-identical to solve_direct, the path with no registry and no trace
+// ring. Observation reads, never steers.
 TEST(ServiceObservability, InstrumentedRunIsBitIdenticalToUninstrumented) {
     const auto requests = mixed_requests(8);
-    auto run = [&requests](ServiceOptions opts) {
+    const ServiceOptions base = fast_options(2);
+    const SnapshotPtr direct_snapshot = fresh_snapshot();
+    std::vector<PlanResponse> direct;
+    for (const PlanRequest& request : requests) {
+        direct.push_back(PlannerService::solve_direct(*direct_snapshot, request, base));
+    }
+
+    for (const std::size_t trace_capacity : {std::size_t{0}, std::size_t{64}}) {
+        SCOPED_TRACE("trace_capacity=" + std::to_string(trace_capacity));
+        ServiceOptions opts = base;
+        opts.obs.trace_capacity = trace_capacity;
         PlannerService service(fresh_snapshot(), opts);
+        EXPECT_EQ(service.trace_ring().enabled(), trace_capacity > 0);
         std::vector<std::future<PlanResponse>> futures;
         for (const PlanRequest& request : requests) {
             futures.push_back(service.submit(request));
         }
-        std::vector<PlanResponse> out;
-        for (auto& f : futures) out.push_back(f.get());
-        return out;
-    };
-
-    ServiceOptions plain = fast_options(2);
-    ServiceOptions instrumented = fast_options(2);
-    instrumented.obs.metrics = true;
-    instrumented.obs.trace_capacity = 64;
-
-    const auto bare = run(plain);
-    const auto observed = run(instrumented);
-    ASSERT_EQ(bare.size(), observed.size());
-    for (std::size_t i = 0; i < bare.size(); ++i) {
-        ASSERT_TRUE(bare[i].ok()) << bare[i].error;
-        ASSERT_TRUE(observed[i].ok()) << observed[i].error;
-        expect_bit_identical(observed[i], bare[i]);
+        for (std::size_t i = 0; i < futures.size(); ++i) {
+            const PlanResponse got = futures[i].get();
+            ASSERT_TRUE(direct[i].ok()) << direct[i].error;
+            ASSERT_TRUE(got.ok()) << got.error;
+            expect_bit_identical(got, direct[i]);
+        }
     }
 }
 
-// Registry counters are incremented at the same sites as the ServiceStats
-// atomics, so the two views must agree EXACTLY — even under a
-// full-intensity fault storm with retries, breakers, sheds and
-// backpressure all firing at once across 8 workers (this is the TSan
-// lane's data-race hammer for the obs layer).
+// stats() reads the registry counters, so the two views must agree EXACTLY
+// — even under a full-intensity fault storm with retries, breakers, sheds
+// and backpressure all firing at once across 8 workers (this is the TSan
+// lane's data-race hammer for the obs layer). The per-rung tempering
+// counters, resolved at construction, must total what the solved
+// responses report.
 TEST(ServiceObservability, RegistryAgreesWithStatsUnderFaultStorm) {
     ServiceOptions opts = fast_options(8);
-    opts.obs.metrics = true;
+    // Three replicas over three 256-iteration rounds: both exchange pairs
+    // (rung0, rung1) are attempted in every full-level solve.
+    opts.solver.annealing.chains = 3;
+    opts.solver.annealing.iter_max = 768;
     opts.obs.trace_capacity = 128;
     opts.governor.enabled = true;
     opts.queue_capacity = 32;  // small enough that backpressure also fires
@@ -137,14 +141,22 @@ TEST(ServiceObservability, RegistryAgreesWithStatsUnderFaultStorm) {
     std::uint64_t submitted = 0;
     {
         PlannerService service(fresh_snapshot(), opts);
-        ASSERT_TRUE(service.metrics_enabled());
         const auto requests = mixed_requests(48);
         std::vector<std::future<PlanResponse>> futures;
         for (const PlanRequest& request : requests) {
             futures.push_back(service.submit(request));
             ++submitted;
         }
-        for (auto& f : futures) (void)f.get();  // every future must resolve
+        // Every future must resolve. Each solved representative (ok, not a
+        // coalesced copy) recorded its tempering stats exactly once.
+        std::uint64_t solved_attempts = 0;
+        std::uint64_t tempered_solves = 0;
+        for (auto& f : futures) {
+            const PlanResponse resp = f.get();
+            if (!resp.ok() || resp.coalesced || !resp.batch) continue;
+            solved_attempts += resp.batch->tempering.total_attempts();
+            if (resp.batch->tempering.enabled()) ++tempered_solves;
+        }
 
         const ServiceStats stats = service.stats();
         // The bookkeeping invariant: nothing vanishes, nothing double-counts.
@@ -174,6 +186,20 @@ TEST(ServiceObservability, RegistryAgreesWithStatsUnderFaultStorm) {
         EXPECT_EQ(reg.counter_value("serve.snapshot.swaps"), stats.snapshot_swaps);
         EXPECT_EQ(reg.counter_value("serve.snapshot.clears_suppressed"),
                   stats.swap_clears_suppressed);
+
+        std::uint64_t rung_attempts = 0;
+        std::size_t rungs = 0;
+        for (; reg.has_counter("solver.tempering.exchanges_attempted.rung" +
+                               std::to_string(rungs));
+             ++rungs) {
+            rung_attempts += reg.counter_value("solver.tempering.exchanges_attempted.rung" +
+                                               std::to_string(rungs));
+        }
+        EXPECT_EQ(rungs, 2u);  // three replicas, resolved at construction
+        EXPECT_GT(solved_attempts, 0u);
+        EXPECT_EQ(rung_attempts, solved_attempts);
+        EXPECT_GT(tempered_solves, 0u);
+        EXPECT_EQ(reg.counter_value("solver.tempering.solves"), tempered_solves);
 
         // Pull gauges read live owner state without perturbing it.
         EXPECT_EQ(reg.gauge_value("serve.queue.depth"), 0.0);  // drained
@@ -216,27 +242,28 @@ TEST(ServiceObservability, RegistryAgreesWithStatsUnderFaultStorm) {
     }
 }
 
-// Default-off: a service constructed without obs options carries no
-// registry instruments and buffers no spans (zero overhead path).
-TEST(ServiceObservability, DefaultConfigurationHasNoInstruments) {
+// Default observability options: the registry counts (it has no off
+// switch) and the trace ring buffers nothing.
+TEST(ServiceObservability, DefaultConfigurationCountsWithoutTracing) {
     PlannerService service(fresh_snapshot(), fast_options(1));
-    EXPECT_FALSE(service.metrics_enabled());
     EXPECT_FALSE(service.trace_ring().enabled());
+    // Instruments exist before the first request, per-rung ones included.
+    EXPECT_TRUE(service.metrics().has_counter("serve.requests.submitted"));
+    EXPECT_TRUE(service.metrics().has_counter("solver.tempering.exchanges_attempted.rung0"));
     PlanRequest request;
     request.id = 1;
     request.workload = workload_a();
     request.seed = 3;
     ASSERT_TRUE(service.submit(request).get().ok());
-    EXPECT_FALSE(service.metrics().has_counter("serve.requests.submitted"));
+    EXPECT_EQ(service.metrics().counter_value("serve.requests.submitted"), 1u);
+    EXPECT_EQ(service.stats().submitted, 1u);
     EXPECT_TRUE(service.trace_spans().empty());
 }
 
 // ewma_seeded surfaces through stats and the gauge: false before any solve
 // completes, true after.
 TEST(ServiceObservability, EwmaSeededFlagFlipsAfterFirstSolve) {
-    ServiceOptions opts = fast_options(1);
-    opts.obs.metrics = true;
-    PlannerService service(fresh_snapshot(), opts);
+    PlannerService service(fresh_snapshot(), fast_options(1));
     EXPECT_FALSE(service.stats().ewma_seeded);
     EXPECT_EQ(service.metrics().gauge_value("serve.governor.ewma_seeded"), 0.0);
 

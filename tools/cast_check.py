@@ -43,6 +43,9 @@ Rules (stable IDs, mirrored in DESIGN.md):
         per-iteration state lives in flat arrays; the sharded memo table
         in eval_cache.cpp is the one sanctioned exception and is scoped
         out by file)
+  C012  std::atomic<std::uint64_t> in serve/service.{hpp,cpp} (an event
+        counter beside the metrics registry; the service's counters are
+        obs::Counter instruments, and ServiceStats reads them)
 
 Implementation is a libclang/regex hybrid: when python bindings for
 libclang are importable they refine C006 (true declaration parsing);
@@ -75,6 +78,8 @@ HOT_PATH_BASENAMES = ("flow_engine.hpp", "phase_runner.hpp", "mapreduce.cpp")
 # eval_cache.cpp is deliberately absent — its sharded map interiors are the
 # sanctioned memoization structure.
 SOLVER_HOT_BASENAMES = ("annealing.cpp", "utility.cpp", "soa_eval.cpp", "tempering.hpp")
+# The planning service (C012): its event counts live in the metrics registry.
+SERVICE_FILES = ("serve/service.hpp", "serve/service.cpp")
 
 NO_TSA_BUDGET = 3
 
@@ -169,6 +174,7 @@ C010_RE = re.compile(r"std::cerr\b|(?<!\w)fprintf\s*\(\s*stderr\b")
 # \b after the name keeps algorithms like std::set_difference /
 # std::set_union out of scope (underscore is a word character).
 C011_RE = re.compile(r"std::(unordered_map|unordered_set|multimap|multiset|map|set)\b")
+C012_RE = re.compile(r"std::atomic\s*<\s*(?:std::)?uint64_t\s*>|std::atomic_uint64_t\b")
 
 
 def check_file(root: Path, path: Path) -> tuple[list[dict], int]:
@@ -188,6 +194,7 @@ def check_file(root: Path, path: Path) -> tuple[list[dict], int]:
     hot_path = path.name in HOT_PATH_BASENAMES
     solver_hot = path.name in SOLVER_HOT_BASENAMES
     serve_no_cerr = "serve/" in rel and "obs/" not in rel
+    service_file = rel.endswith(SERVICE_FILES)
 
     for idx, line in enumerate(lines, start=1):
         if not in_annotations_header:
@@ -268,6 +275,13 @@ def check_file(root: Path, path: Path) -> tuple[list[dict], int]:
                 "with table output",
                 "record through obs::MetricsRegistry (counter/gauge/histogram) "
                 "or buffer a span in obs::TraceRing"))
+        if service_file and C012_RE.search(line):
+            found.append(finding(
+                "C012", rel, idx,
+                "event counter beside the metrics registry; register an "
+                "obs::Counter",
+                "add the counter to PlannerService::Instruments and read it "
+                "in stats()"))
     return found, escapes
 
 

@@ -29,9 +29,10 @@
 //       overload governor (degradation ladder, deadline admission, retry +
 //       circuit breakers); --fault-intensity injects the seeded serve-layer
 //       fault profile at intensity I in [0, 1] for resilience drills.
-//       --metrics prints the live registry (counters, gauges, latency
-//       histograms; --metrics-out also writes the one-line JSON to a file)
-//       and --trace dumps the per-request span timeline from the ring.
+//       The service always keeps its metrics registry; --metrics prints it
+//       (counters, gauges, latency histograms) after the replay and
+//       --metrics-out also writes the one-line JSON to a file. --trace
+//       turns on the per-request span ring and dumps the timeline.
 //
 // Every command also accepts `--threads N` to pin thread-pool sizes
 // (profiling, solver chains, service workers).
@@ -87,8 +88,19 @@ int usage() {
            "                     [--governor] [--latency-target-ms X]\n"
            "                     [--fault-intensity I] [--fault-seed N]\n"
            "                     [--metrics] [--metrics-out FILE] [--trace [N]]\n"
+           "                     (--metrics prints the registry, --metrics-out saves it)\n"
            "(all commands accept --threads N to pin thread-pool sizes)\n";
     return 1;
+}
+
+/// The serve table's label for a request kind.
+const char* kind_name(serve::RequestKind kind) {
+    switch (kind) {
+        case serve::RequestKind::kBatch: return "batch";
+        case serve::RequestKind::kWorkflow: return "workflow";
+        case serve::RequestKind::kAmend: return "amend";
+    }
+    return "unknown";
 }
 
 /// Memo-table summary: how much of the evaluation work the cache absorbed.
@@ -302,12 +314,11 @@ int cmd_serve(const Args& args) {
                                                        std::stoull(fault_seed));
     }
 
-    // Observability: --metrics registers the serve.* instruments (tables +
-    // one-line JSON after the replay, --metrics-out FILE for scraping);
+    // Observability: the registry is always on; --metrics prints it (tables
+    // + one-line JSON after the replay, --metrics-out FILE for scraping).
     // --trace ring-buffers per-request spans (bare flag keeps the last 256,
     // `--trace N` sizes the ring) and prints the span timeline.
     const bool want_metrics = args.has_flag("metrics") || !args.get("metrics-out").empty();
-    opts.obs.metrics = want_metrics;
     const std::string trace_n = args.get("trace");
     if (args.has_flag("trace")) {
         opts.obs.trace_capacity = 256;
@@ -358,8 +369,7 @@ int cmd_serve(const Args& args) {
         }
         if (!resp.error.empty()) notes += resp.error;
         if (!resp.ok()) ++failures;
-        t.add_row({std::to_string(resp.id),
-                   resp.kind == serve::RequestKind::kBatch ? "batch" : "workflow", status,
+        t.add_row({std::to_string(resp.id), kind_name(resp.kind), status,
                    serve::degradation_level_name(resp.degradation_level), outcome,
                    fmt(resp.queue_ms, 2), fmt(resp.solve_ms, 2), notes});
     }
@@ -385,7 +395,7 @@ int cmd_serve(const Args& args) {
     }
     print_cache_stats(stats.cache, std::cout);
 
-    if (service.metrics_enabled()) {
+    if (want_metrics) {
         std::cout << "\nmetrics (live registry):\n";
         service.metrics().write_table(std::cout);
         std::cout << "metrics-json: " << service.metrics().json() << "\n";
